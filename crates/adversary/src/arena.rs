@@ -3,38 +3,53 @@
 //! The expansion engine enumerates the tree of admissible prefixes round by
 //! round. Instead of materializing every intermediate prefix as its own
 //! [`GraphSeq`] (a full `Vec<Digraph>` clone per node per round), the arena
-//! stores one `(parent, round graph)` pair per node in depth order, with a
-//! flat *round-offset table* marking where each depth's contiguous id range
-//! begins. Sequence identity becomes a dense `usize` id — the key property
-//! the parallel expansion and the extension fast path rely on: extensions
-//! are computed **once per frontier node** and indexed by offset, never by
-//! hashing a `GraphSeq`.
+//! stores one `(parent, round graph)` pair per node, one level per depth.
+//! Sequence identity becomes a dense index — the key property the flat run
+//! store relies on: run `i` of an expansion is `(input, frontier node)`,
+//! and extensions are computed **once per frontier node**, never by hashing
+//! a `GraphSeq`.
+//!
+//! Levels sit behind `Arc`: growing a clone by one round shares every
+//! existing level with the original, which is what lets a ladder rung keep
+//! its ancestor's arena instead of copying it.
 
-use std::ops::Range;
+use std::ops::{ControlFlow, Range};
+use std::sync::{Arc, OnceLock};
+use std::time::Instant;
 
+use consensus_obs::metrics::{registry, Histogram};
+use consensus_obs::trace::tracer;
 use dyngraph::{Digraph, GraphSeq};
 
 use crate::MessageAdversary;
 
+/// Registry histogram of one round of arena growth (nanoseconds) — the
+/// `seq.enumerate` span's twin in `/v1/stats`.
+fn stage_enumerate() -> &'static Arc<Histogram> {
+    static HIST: OnceLock<Arc<Histogram>> = OnceLock::new();
+    HIST.get_or_init(|| registry().histogram("stage.seq.enumerate"))
+}
+
+/// The nodes of one depth: node `i` extends node `parents[i]` of the
+/// previous depth by `graphs[i]` (both empty for the root level).
+#[derive(Debug, Default, PartialEq)]
+struct SeqLevel {
+    parents: Vec<u32>,
+    graphs: Vec<Digraph>,
+}
+
 /// The admissible-prefix tree of one adversary, grown breadth-first.
 ///
 /// Node 0 is the empty prefix; nodes of depth `r` occupy the contiguous id
-/// range `round_range(r)`. Every non-root node records its parent id and
-/// the graph of its last round only.
-#[derive(Debug, Clone)]
+/// range `round_range(r)`, in the order their parents were extended. Every
+/// non-root node records its parent and the graph of its last round only.
+#[derive(Debug, Clone, PartialEq)]
 pub struct SeqArena {
-    /// `parents[id - 1]` = parent node id of node `id` (ids are 1-based in
-    /// these two columns; node 0, the root, has no row).
-    parents: Vec<u32>,
-    /// `graphs[id - 1]` = the last-round graph of node `id`.
-    graphs: Vec<Digraph>,
+    /// `levels[r]` holds the depth-`r` nodes; level 0 is the root alone.
+    levels: Vec<Arc<SeqLevel>>,
     /// `round_offsets[r]` = first node id of depth `r`;
     /// `round_offsets[rounds() + 1]` = total node count.
     round_offsets: Vec<usize>,
-    /// The materialized sequences of the current frontier (deepest round),
-    /// in id order — kept so growing by one round extends these instead of
-    /// re-walking parent chains.
-    frontier_seqs: Vec<GraphSeq>,
 }
 
 /// Error: growing the arena one more round would exceed the run budget
@@ -49,17 +64,12 @@ pub struct ArenaBudget {
 impl SeqArena {
     /// The one-node arena holding only the empty prefix.
     pub fn new() -> Self {
-        SeqArena {
-            parents: Vec::new(),
-            graphs: Vec::new(),
-            round_offsets: vec![0, 1],
-            frontier_seqs: vec![GraphSeq::new()],
-        }
+        SeqArena { levels: vec![Arc::default()], round_offsets: vec![0, 1] }
     }
 
     /// Number of rounds grown so far (the depth of the frontier).
     pub fn rounds(&self) -> usize {
-        self.round_offsets.len() - 2
+        self.levels.len() - 1
     }
 
     /// Total nodes, the root included.
@@ -85,31 +95,97 @@ impl SeqArena {
         self.round_range(self.rounds())
     }
 
+    /// Number of depth-`r` nodes.
+    pub fn level_len(&self, r: usize) -> usize {
+        self.round_range(r).len()
+    }
+
+    /// The parent of the `i`-th depth-`r` node, as an index into depth
+    /// `r − 1`.
+    ///
+    /// # Panics
+    /// Panics if `r == 0` or the node is out of range.
+    pub fn parent(&self, r: usize, i: usize) -> usize {
+        self.levels[r].parents[i] as usize
+    }
+
+    /// The last-round graph of the `i`-th depth-`r` node.
+    ///
+    /// # Panics
+    /// Panics if `r == 0` or the node is out of range.
+    pub fn graph(&self, r: usize, i: usize) -> &Digraph {
+        &self.levels[r].graphs[i]
+    }
+
+    /// The sequence of the `i`-th depth-`r` node, walked up its parent
+    /// chain.
+    ///
+    /// # Panics
+    /// Panics if the node is out of range.
+    pub fn seq(&self, r: usize, i: usize) -> GraphSeq {
+        assert!(i < self.level_len(r), "node {i} of depth {r} out of range");
+        let mut graphs: Vec<Digraph> = Vec::with_capacity(r);
+        let mut i = i;
+        for level in self.levels[1..=r].iter().rev() {
+            graphs.push(level.graphs[i].clone());
+            i = level.parents[i] as usize;
+        }
+        graphs.reverse();
+        GraphSeq::from_graphs(graphs)
+    }
+
     /// The materialized sequences of the frontier, in id order.
-    pub fn frontier_seqs(&self) -> &[GraphSeq] {
-        &self.frontier_seqs
+    pub fn frontier_seqs(&self) -> Vec<GraphSeq> {
+        let mut out = Vec::with_capacity(self.level_len(self.rounds()));
+        self.for_each_frontier_seq(|_, seq| {
+            out.push(seq.clone());
+            ControlFlow::Continue(())
+        });
+        out
+    }
+
+    /// Call `f(i, seq)` for every frontier node `i` in id order, until it
+    /// breaks, with its sequence built in one rolling buffer: consecutive
+    /// nodes share their common prefix, so only the rounds below the
+    /// divergence are replaced.
+    fn for_each_frontier_seq(&self, mut f: impl FnMut(usize, &GraphSeq) -> ControlFlow<()>) {
+        let r = self.rounds();
+        let mut seq = GraphSeq::new();
+        // `path[l - 1]` = the depth-`l` ancestor held in `seq`.
+        let mut path: Vec<usize> = Vec::with_capacity(r);
+        let mut ancestors = vec![0usize; r];
+        for i in 0..self.level_len(r) {
+            let mut node = i;
+            for l in (1..=r).rev() {
+                ancestors[l - 1] = node;
+                node = self.levels[l].parents[node] as usize;
+            }
+            let keep = path.iter().zip(&ancestors).take_while(|(a, b)| a == b).count();
+            seq.truncate(keep);
+            path.truncate(keep);
+            for (l, &node) in ancestors.iter().enumerate().skip(keep) {
+                seq.push(self.levels[l + 1].graphs[node].clone());
+                path.push(node);
+            }
+            if f(i, &seq).is_break() {
+                return;
+            }
+        }
     }
 
     /// Consume the arena, keeping only the materialized frontier.
     pub fn into_frontier_seqs(self) -> Vec<GraphSeq> {
-        self.frontier_seqs
+        self.frontier_seqs()
     }
 
-    /// Materialize the sequence of an arbitrary node by walking its parent
-    /// chain (the frontier is cheaper through [`Self::frontier_seqs`]).
+    /// Materialize the sequence of an arbitrary node id.
     ///
     /// # Panics
     /// Panics if `id` is out of range.
     pub fn materialize(&self, id: usize) -> GraphSeq {
         assert!(id < self.len(), "node {id} out of range");
-        let mut rev: Vec<Digraph> = Vec::new();
-        let mut cur = id;
-        while cur != 0 {
-            rev.push(self.graphs[cur - 1].clone());
-            cur = self.parents[cur - 1] as usize;
-        }
-        rev.reverse();
-        GraphSeq::from_graphs(rev)
+        let r = self.round_offsets.partition_point(|&o| o <= id) - 1;
+        self.seq(r, id - self.round_offsets[r])
     }
 
     /// Grow the frontier by one round: every frontier node is extended by
@@ -128,44 +204,39 @@ impl SeqArena {
         ma: &dyn MessageAdversary,
         budget: Option<(usize, usize)>,
     ) -> Result<(), ArenaBudget> {
-        let frontier = self.frontier();
-        let mut next_seqs: Vec<GraphSeq> = Vec::with_capacity(self.frontier_seqs.len() * 2);
-        let nodes_before = (self.parents.len(), self.graphs.len());
-        for (slot, id) in frontier.enumerate() {
-            let seq = &self.frontier_seqs[slot];
+        let mut span = tracer().span("seq.enumerate").with_attr("depth", self.rounds() + 1);
+        let start = Instant::now();
+        let mut next = SeqLevel::default();
+        let mut over: Option<ArenaBudget> = None;
+        self.for_each_frontier_seq(|i, seq| {
             for g in ma.extensions(seq) {
-                next_seqs.push(seq.extended(g.clone()));
-                self.parents.push(u32::try_from(id).expect("arena overflow"));
-                self.graphs.push(g);
+                next.parents.push(u32::try_from(i).expect("arena overflow"));
+                next.graphs.push(g);
                 if let Some((inputs_count, max_runs)) = budget {
-                    let needed = next_seqs.len().saturating_mul(inputs_count);
+                    let needed = next.parents.len().saturating_mul(inputs_count);
                     if needed > max_runs {
-                        // Roll back the partial round.
-                        self.parents.truncate(nodes_before.0);
-                        self.graphs.truncate(nodes_before.1);
-                        return Err(ArenaBudget { needed });
+                        over = Some(ArenaBudget { needed });
+                        return ControlFlow::Break(());
                     }
                 }
             }
+            ControlFlow::Continue(())
+        });
+        if let Some(err) = over {
+            return Err(err);
         }
-        self.round_offsets.push(self.len() + next_seqs.len());
-        self.frontier_seqs = next_seqs;
+        stage_enumerate().record_duration(start.elapsed());
+        span.set_attr("nodes", next.parents.len());
+        self.round_offsets.push(self.len() + next.parents.len());
+        self.levels.push(Arc::new(next));
         Ok(())
     }
 
-    /// A rough heap footprint in bytes (nodes, offsets, and the frontier
-    /// materialization) — telemetry for sweep reports, not an allocator
-    /// measurement.
+    /// A rough heap footprint in bytes (nodes and offsets) — telemetry for
+    /// sweep reports, not an allocator measurement.
     pub fn approx_bytes(&self) -> usize {
         let node = std::mem::size_of::<u32>() + std::mem::size_of::<Digraph>();
-        let frontier: usize = self
-            .frontier_seqs
-            .iter()
-            .map(|s| s.rounds() * std::mem::size_of::<Digraph>())
-            .sum();
-        self.parents.len() * node
-            + self.round_offsets.len() * std::mem::size_of::<usize>()
-            + frontier
+        (self.len() - 1) * node + self.round_offsets.len() * std::mem::size_of::<usize>()
     }
 }
 

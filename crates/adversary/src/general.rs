@@ -1,5 +1,7 @@
 //! The [`GeneralMA`] family: graph pool + liveness + optional deadline.
 
+use std::sync::OnceLock;
+
 use dyngraph::{scc, Digraph, GraphSeq, Lasso, PidMask, Round};
 use serde::{Deserialize, Serialize};
 
@@ -85,13 +87,26 @@ pub fn stable_window_position(prefix: &GraphSeq, window: usize) -> Option<Round>
 /// let no_swap = dyngraph::Lasso::parse2("->").unwrap();
 /// assert_eq!(ma.admits_lasso(&no_swap), Some(false));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct GeneralMA {
     pool: Vec<Digraph>,
+    /// `scc::rooted_source` of each pool graph, computed on first use by
+    /// the stable-window liveness (its only reader).
+    pool_roots: OnceLock<Vec<Option<PidMask>>>,
     liveness: Liveness,
     deadline: Option<Round>,
     label: String,
 }
+
+impl PartialEq for GeneralMA {
+    fn eq(&self, other: &Self) -> bool {
+        // `pool_roots` is a cache derived from `pool`.
+        (&self.pool, &self.liveness, self.deadline, &self.label)
+            == (&other.pool, &other.liveness, other.deadline, &other.label)
+    }
+}
+
+impl Eq for GeneralMA {}
 
 impl GeneralMA {
     /// Construct from parts.
@@ -127,7 +142,7 @@ impl GeneralMA {
                 format!("stable({window}) by round {r} over |pool|={}", pool.len())
             }
         };
-        GeneralMA { pool, liveness, deadline, label }
+        GeneralMA { pool, pool_roots: OnceLock::new(), liveness, deadline, label }
     }
 
     /// The oblivious adversary over `pool` ([8, 21]): every sequence of pool
@@ -173,20 +188,33 @@ impl GeneralMA {
         GeneralMA::new(self.pool.clone(), self.liveness.clone(), Some(r))
     }
 
-    /// Whether every graph of `prefix` is drawn from the pool.
+    /// Whether every graph of `prefix` is drawn from the (sorted) pool.
     fn pool_valid(&self, prefix: &GraphSeq) -> bool {
-        prefix.iter().all(|g| self.pool.contains(&g.normalized()))
+        prefix.iter().all(|g| {
+            if g.is_normalized() {
+                self.pool.binary_search(g).is_ok()
+            } else {
+                self.pool.binary_search(&g.normalized()).is_ok()
+            }
+        })
     }
 
     /// Whether the liveness is *still achievable* given `prefix` (assuming
     /// unconstrained pool choices afterwards, subject to the deadline).
     fn liveness_achievable(&self, prefix: &GraphSeq) -> bool {
-        let t = prefix.rounds();
+        self.liveness_achievable_after(prefix, None)
+    }
+
+    /// [`liveness_achievable`](Self::liveness_achievable) for `prefix`
+    /// followed by `next`, without building the extended sequence.
+    fn liveness_achievable_after(&self, prefix: &GraphSeq, next: Option<&Digraph>) -> bool {
+        let t = prefix.rounds() + usize::from(next.is_some());
+        let rounds = || prefix.iter().chain(next);
         match (&self.liveness, self.deadline) {
             (Liveness::None, _) => true,
             (_, None) => self.liveness_eventually_achievable(),
             (Liveness::OccursGraph { target }, Some(r)) => {
-                let within = prefix.iter().take(r).any(|g| g == target);
+                let within = rounds().take(r).any(|g| g == target);
                 within || t < r
             }
             (Liveness::StableWindow { window }, Some(r)) => {
@@ -199,7 +227,9 @@ impl GeneralMA {
                 if r < *window {
                     return false;
                 }
-                let masks: Vec<Option<PidMask>> = prefix.iter().map(scc::rooted_source).collect();
+                // Windows end by the deadline: later rounds never matter.
+                let masks: Vec<Option<PidMask>> =
+                    rounds().take(r).map(|g| self.root_of(g)).collect();
                 'starts: for s in 0..=(r - *window) {
                     // Window rounds are s+1 ..= s+window (1-based).
                     let mut required: Option<PidMask> = None;
@@ -224,7 +254,7 @@ impl GeneralMA {
                         // (or any rooted graph if the window hasn't started).
                         match required {
                             Some(req) => {
-                                if self.pool.iter().any(|g| scc::rooted_source(g) == Some(req)) {
+                                if self.pool_roots().contains(&Some(req)) {
                                     return true;
                                 }
                             }
@@ -240,6 +270,19 @@ impl GeneralMA {
                 }
                 false
             }
+        }
+    }
+
+    fn pool_roots(&self) -> &[Option<PidMask>] {
+        self.pool_roots
+            .get_or_init(|| self.pool.iter().map(scc::rooted_source).collect())
+    }
+
+    /// `scc::rooted_source(g)`, read from the pool cache for pool graphs.
+    fn root_of(&self, g: &Digraph) -> Option<PidMask> {
+        match self.pool.binary_search(g) {
+            Ok(i) => self.pool_roots()[i],
+            Err(_) => scc::rooted_source(g),
         }
     }
 
@@ -265,12 +308,11 @@ impl MessageAdversary for GeneralMA {
         if !self.admits_prefix(prefix) {
             return Vec::new();
         }
+        // Pool graphs keep an admitted prefix pool-valid; only the liveness
+        // can rule a candidate out.
         self.pool
             .iter()
-            .filter(|g| {
-                let ext = prefix.extended((*g).clone());
-                self.pool_valid(&ext) && self.liveness_achievable(&ext)
-            })
+            .filter(|g| self.liveness_achievable_after(prefix, Some(g)))
             .cloned()
             .collect()
     }

@@ -151,7 +151,7 @@ fn expansion_runs_admissible() {
         let ma = GeneralMA::oblivious(pool);
         let e = enumerate::expand_binary(&ma, depth, 100_000).unwrap();
         for run in &e.runs {
-            assert!(ma.admits_prefix(run.seq()));
+            assert!(ma.admits_prefix(&run.seq()));
         }
     }
 }

@@ -6,6 +6,8 @@
 //! Every measured pass is also checked byte-identical to the serial
 //! engine (same runs, same interned view ids) — a bench that drifted
 //! from the equivalence contract would be measuring a different machine.
+//! The ladder datum times `extend_with` alone; cloning the depth − 1
+//! expansion it starts from is timed apart as `clone_ms`.
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -54,6 +56,7 @@ struct DepthDatum {
     views: usize,
     serial_ms: f64,
     parallel_ms: f64,
+    clone_ms: f64,
     ladder_ms: f64,
 }
 
@@ -68,6 +71,7 @@ fn measure_depth(pool: &[DynMA], depth: usize, threads: usize) -> DepthDatum {
         views: 0,
         serial_ms: 0.0,
         parallel_ms: 0.0,
+        clone_ms: 0.0,
         ladder_ms: 0.0,
     };
     for ma in pool {
@@ -102,37 +106,37 @@ fn measure_depth(pool: &[DynMA], depth: usize, threads: usize) -> DepthDatum {
         assert_eq!(parallel.table, serial.table, "parallel interning must be byte-identical");
 
         let base: Expansion = expand(ma, VALUES, depth - 1, BUDGET).expect("shallower fits");
-        let t2 = Instant::now();
-        let mut laddered = base.clone();
-        for rep in 0..REPS {
+        let mut laddered = None;
+        for _ in 0..REPS {
+            let t2 = Instant::now();
             let mut e = base.clone();
+            let t3 = Instant::now();
             e.extend_with(ma, BUDGET, threads).expect("extension fits the budget");
-            if rep == REPS - 1 {
-                laddered = e;
-            }
+            let t4 = Instant::now();
+            datum.clone_ms += ms(t3 - t2);
+            datum.ladder_ms += ms(t4 - t3);
+            laddered = Some(e);
         }
-        datum.ladder_ms += ms(t2.elapsed());
-        // The ladder reuses the shallower table, so view ids are permuted
-        // relative to a scratch build; runs, sequences, and distinct-view
-        // counts must still agree exactly.
-        assert_eq!(laddered.runs.len(), serial.runs.len(), "ladder run count diverged");
-        assert_eq!(laddered.table.len(), serial.table.len(), "ladder view count diverged");
-        for (a, b) in laddered.runs.iter().zip(&serial.runs) {
-            assert_eq!((a.inputs(), a.seq()), (b.inputs(), b.seq()), "ladder run order diverged");
-        }
+        let laddered = laddered.expect("REPS >= 1");
+        // Level-order interning makes a rung the same computation as a
+        // scratch build: runs, view ids and table contents agree exactly.
+        assert_eq!(laddered.runs, serial.runs, "ladder runs diverged from the scratch build");
+        assert_eq!(laddered.table, serial.table, "ladder views diverged from the scratch build");
     }
     datum
 }
 
 fn emit_bench_json(pool: &[DynMA], threads: usize) {
     let mut per_depth = Vec::new();
-    let (mut serial_total, mut parallel_total, mut ladder_total) = (0.0f64, 0.0f64, 0.0f64);
+    let (mut serial_total, mut parallel_total) = (0.0f64, 0.0f64);
+    let (mut clone_total, mut ladder_total) = (0.0f64, 0.0f64);
     let (mut runs_total, mut views_total) = (0usize, 0usize);
     for depth in DEPTHS {
         let d = measure_depth(pool, depth, threads);
         println!(
             "[expand] depth {}: {} adversaries ({} over budget), {} runs, {} views; \
-             serial {:.1} ms, parallel({} workers) {:.1} ms ({:.2}×), ladder {:.1} ms",
+             serial {:.1} ms, parallel({} workers) {:.1} ms ({:.2}×), clone {:.3} ms, \
+             ladder {:.1} ms",
             d.depth,
             d.adversaries,
             d.skipped_budget,
@@ -142,10 +146,12 @@ fn emit_bench_json(pool: &[DynMA], threads: usize) {
             threads,
             d.parallel_ms,
             d.serial_ms / d.parallel_ms.max(1e-9),
+            d.clone_ms,
             d.ladder_ms,
         );
         serial_total += d.serial_ms;
         parallel_total += d.parallel_ms;
+        clone_total += d.clone_ms;
         ladder_total += d.ladder_ms;
         runs_total += d.runs;
         views_total += d.views;
@@ -157,6 +163,7 @@ fn emit_bench_json(pool: &[DynMA], threads: usize) {
             ("views".into(), Json::Int(d.views as i64)),
             ("serial_ms".into(), Json::Float(d.serial_ms)),
             ("parallel_ms".into(), Json::Float(d.parallel_ms)),
+            ("clone_ms".into(), Json::Float(d.clone_ms)),
             ("ladder_ms".into(), Json::Float(d.ladder_ms)),
         ]));
     }
@@ -168,6 +175,7 @@ fn emit_bench_json(pool: &[DynMA], threads: usize) {
         ("views".into(), Json::Int(views_total as i64)),
         ("cold_serial_ms".into(), Json::Float(serial_total)),
         ("cold_parallel_ms".into(), Json::Float(parallel_total)),
+        ("clone_ms".into(), Json::Float(clone_total)),
         ("ladder_ms".into(), Json::Float(ladder_total)),
         ("speedup_parallel".into(), Json::Float(serial_total / parallel_total.max(1e-9))),
         ("per_depth".into(), Json::Arr(per_depth)),

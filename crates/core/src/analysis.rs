@@ -11,6 +11,7 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
+use adversary::enumerate::RunRef;
 use adversary::MessageAdversary;
 use ptgraph::{distance, Value};
 
@@ -124,20 +125,17 @@ pub fn report(space: &PrefixSpace) -> SpaceReport {
     // classes (a mixed component) register as Below(depth).
     let mut min_class_distance: Option<distance::Distance> = None;
     let values: Vec<Value> = space.values().to_vec();
-    let class_runs = |v: Value| -> Vec<&ptgraph::PrefixRun> {
+    let class_runs = |v: Value| -> Vec<RunRef<'_>> {
         let comp_ids: BTreeSet<usize> = space
             .runs()
             .iter()
-            .enumerate()
-            .filter(|(_, r)| r.is_valent(v))
-            .map(|(i, _)| comps.component_of(i))
+            .filter(|r| r.is_valent(v))
+            .map(|r| comps.component_of(r.index()))
             .collect();
         space
             .runs()
             .iter()
-            .enumerate()
-            .filter(|(i, _)| comp_ids.contains(&comps.component_of(*i)))
-            .map(|(_, r)| r)
+            .filter(|r| comp_ids.contains(&comps.component_of(r.index())))
             .collect()
     };
     for (i, &v) in values.iter().enumerate() {

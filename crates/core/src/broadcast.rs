@@ -77,7 +77,7 @@ pub fn broadcast_report(space: &PrefixSpace) -> BroadcastReport {
         'procs: for p in 0..space.n() {
             let mut worst = 0usize;
             for &i in members {
-                match space.runs()[i].broadcast_complete(p, table) {
+                match space.runs().get(i).broadcast_complete(p, table) {
                     Some(t) => worst = worst.max(t),
                     None => continue 'procs,
                 }

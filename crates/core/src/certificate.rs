@@ -406,7 +406,7 @@ impl Certificate {
             witnesses.push(WitnessRun {
                 value,
                 inputs: run.inputs().to_vec(),
-                word: (1..=run.rounds()).map(|t| run.seq().graph(t).code()).collect(),
+                word: run.seq().iter().map(Digraph::code).collect(),
             });
         }
         Some(Certificate::Solvable(SolvableCertificate {

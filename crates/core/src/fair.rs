@@ -170,9 +170,9 @@ pub fn epsilon_chain(space: &PrefixSpace, from: usize, to: usize) -> Option<Epsi
     }
     // bucket -> member runs
     let mut buckets: HashMap<(Pid, ptgraph::ViewId), Vec<usize>> = HashMap::new();
-    for (i, run) in space.runs().iter().enumerate() {
+    for run in space.runs().iter() {
         for p in 0..run.n() {
-            buckets.entry((p, run.view(p, depth))).or_default().push(i);
+            buckets.entry((p, run.view(p, depth))).or_default().push(run.index());
         }
     }
     let mut prev: HashMap<usize, (usize, Pid)> = HashMap::new();
@@ -182,7 +182,7 @@ pub fn epsilon_chain(space: &PrefixSpace, from: usize, to: usize) -> Option<Epsi
         if i == to {
             break;
         }
-        let run = &space.runs()[i];
+        let run = space.runs().get(i);
         for p in 0..run.n() {
             for &j in &buckets[&(p, run.view(p, depth))] {
                 if let std::collections::hash_map::Entry::Vacant(e) = prev.entry(j) {
@@ -214,7 +214,7 @@ pub fn validate_epsilon_chain(space: &PrefixSpace, chain: &EpsilonChain) -> bool
     let mut prev = chain.start;
     for link in &chain.links {
         let p = link.shared_view_of;
-        if space.runs()[prev].view(p, depth) != space.runs()[link.run].view(p, depth) {
+        if space.runs().get(prev).view(p, depth) != space.runs().get(link.run).view(p, depth) {
             return false;
         }
         prev = link.run;
@@ -296,9 +296,9 @@ mod tests {
         let space = PrefixSpace::expand(&ma, &[0, 1], 3, &CFG).unwrap();
         let chain = valence_chain(&space, 0, 1).expect("mixed component must chain");
         assert!(validate_epsilon_chain(&space, &chain));
-        assert!(space.runs()[chain.start].is_valent(0));
+        assert!(space.runs().get(chain.start).is_valent(0));
         let end = *chain.run_indices().last().unwrap();
-        assert!(space.runs()[end].is_valent(1));
+        assert!(space.runs().get(end).is_valent(1));
         assert!(chain.links.len() >= 2, "nontrivial chain expected");
     }
 

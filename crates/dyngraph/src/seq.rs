@@ -89,6 +89,11 @@ impl GraphSeq {
         self.graphs.push(g);
     }
 
+    /// Keep only the first `rounds` rounds (no-op if already shorter).
+    pub fn truncate(&mut self, rounds: usize) {
+        self.graphs.truncate(rounds);
+    }
+
     /// A copy extended by one round.
     pub fn extended(&self, g: Digraph) -> Self {
         let mut s = self.clone();

@@ -13,14 +13,14 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 use adversary::{enumerate, MessageAdversary};
 use consensus_core::config::ExpandConfig;
 use consensus_core::solvability::SpaceSource;
 use consensus_core::PrefixSpace;
 use consensus_obs::metrics::{registry, Counter, Gauge};
-use consensus_obs::trace::tracer;
+use consensus_obs::trace::{tracer, SpanGuard};
 use ptgraph::Value;
 
 /// Process-global registry mirrors of the cache counters: every
@@ -120,13 +120,107 @@ pub struct ExpandTotals {
     pub arena_bytes_peak: usize,
 }
 
+/// One cache entry: filled exactly once, by the request that claimed it.
+/// Requests for a key whose slot is still pending wait on it instead of
+/// building the same space again.
+#[derive(Debug, Default)]
+struct Slot {
+    state: Mutex<Fill>,
+    filled: Condvar,
+}
+
+#[derive(Debug, Default)]
+enum Fill {
+    #[default]
+    Pending,
+    Ready(Arc<PrefixSpace>),
+    /// The claimer gave up (budget or panic); waiters retry the lookup.
+    Abandoned,
+}
+
+impl Slot {
+    /// Block until the slot settles: the space, or `None` if abandoned.
+    fn wait(&self) -> Option<Arc<PrefixSpace>> {
+        let mut state = self.state.lock().expect("slot lock poisoned");
+        loop {
+            match &*state {
+                Fill::Pending => state = self.filled.wait(state).expect("slot lock poisoned"),
+                Fill::Ready(space) => return Some(Arc::clone(space)),
+                Fill::Abandoned => return None,
+            }
+        }
+    }
+
+    fn is_ready(&self) -> bool {
+        matches!(*self.state.lock().expect("slot lock poisoned"), Fill::Ready(_))
+    }
+
+    fn settle(&self, fill: Fill) {
+        *self.state.lock().expect("slot lock poisoned") = fill;
+        self.filled.notify_all();
+    }
+}
+
+type Slots = Mutex<HashMap<Key, Arc<Slot>>>;
+
+/// A claimed, still-pending slot. [`fill`](Claim::fill) settles it;
+/// dropping it unfilled abandons it — removed from the map, waiters
+/// woken to retry — so a failed or panicking filler never strands a
+/// waiter.
+struct Claim<'a> {
+    slots: &'a Slots,
+    key: Key,
+    slot: Arc<Slot>,
+    filled: bool,
+}
+
+impl Claim<'_> {
+    fn fill(mut self, space: &Arc<PrefixSpace>) {
+        self.slot.settle(Fill::Ready(Arc::clone(space)));
+        self.filled = true;
+    }
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        if self.filled {
+            return;
+        }
+        let mut slots = self.slots.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        if slots.get(&self.key).is_some_and(|s| Arc::ptr_eq(s, &self.slot)) {
+            slots.remove(&self.key);
+        }
+        drop(slots);
+        self.slot.settle(Fill::Abandoned);
+    }
+}
+
+/// What a lookup found under the map lock.
+enum Plan<'a> {
+    /// The key's slot exists (filled or in flight): wait on it.
+    Wait(Arc<Slot>),
+    /// The key was claimed by this request, laddering from the deepest
+    /// claimed ancestor (waited on first) when there is one. `rungs` are
+    /// the claimed depths above the ancestor, the requested one last.
+    Fill {
+        ancestor: Option<Arc<Slot>>,
+        rungs: Vec<Claim<'a>>,
+    },
+}
+
 /// A thread-safe memoizing [`SpaceSource`]; see the module docs.
+///
+/// Every `(fingerprint, domain, depth)` key has one slot, filled exactly
+/// once: a request for a pending key waits for it, and a request above a
+/// pending ancestor claims the rungs in between and ladders from that
+/// ancestor. So each space and each ladder rung is built once for any
+/// number of concurrent workers.
 ///
 /// Budget-exceeded outcomes are memoized separately (keyed with the budget)
 /// so a sweep does not re-attempt a hopeless expansion per analysis.
 #[derive(Debug, Default)]
 pub struct SpaceCache {
-    spaces: Mutex<HashMap<Key, Arc<PrefixSpace>>>,
+    spaces: Slots,
     failures: Mutex<HashMap<FailKey, enumerate::BudgetExceeded>>,
     hits: AtomicUsize,
     builds: AtomicUsize,
@@ -205,7 +299,12 @@ impl SpaceCache {
 
     /// Number of cached spaces.
     pub fn len(&self) -> usize {
-        self.spaces.lock().expect("cache lock poisoned").len()
+        self.spaces
+            .lock()
+            .expect("cache lock poisoned")
+            .values()
+            .filter(|s| s.is_ready())
+            .count()
     }
 
     /// Whether the cache is empty.
@@ -213,7 +312,8 @@ impl SpaceCache {
         self.len() == 0
     }
 
-    /// [`SpaceSource::space`] plus a flag: `true` if served from the cache.
+    /// [`SpaceSource::space`] plus a flag: `true` if served from the cache
+    /// (including a wait on another request's in-flight fill).
     ///
     /// # Errors
     /// Returns [`enumerate::BudgetExceeded`] if the expansion exceeds
@@ -227,108 +327,135 @@ impl SpaceCache {
     ) -> Result<(Arc<PrefixSpace>, bool), enumerate::BudgetExceeded> {
         let mut span = tracer().span("cache.lookup").with_attr("depth", depth);
         let key: Key = (ma.fingerprint(), values.to_vec(), depth);
-        if let Some(space) = self.spaces.lock().expect("cache lock poisoned").get(&key) {
-            // A hit may carry a space built under a *larger* budget than
-            // this request's; that is fine — budgets bound work, not
-            // results, and the cached space is exact.
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            span.set_attr("outcome", "hit");
-            cache_counters().note("hit");
-            return Ok((Arc::clone(space), true));
-        }
         let fail_key = (key.0, key.1.clone(), key.2, max_runs);
-        if let Some(err) = self.failures.lock().expect("cache lock poisoned").get(&fail_key) {
-            self.budget_misses.fetch_add(1, Ordering::Relaxed);
-            span.set_attr("outcome", "budget-miss");
-            cache_counters().note("budget-miss");
-            return Err(err.clone());
-        }
-        // Depth ladder: the deepest cached space for the same
-        // (fingerprint, domain) strictly below the requested depth is an
-        // exact ancestor — extend it up round-by-round instead of
-        // re-expanding from scratch. The per-round budget check of
-        // `Expansion::extend` counts the same quantity (runs at the next
-        // depth) as the from-scratch pre-count, so budget accounting is
-        // preserved.
-        let ancestor = {
-            let cached = self.spaces.lock().expect("cache lock poisoned");
-            (0..depth)
-                .rev()
-                .find_map(|d| cached.get(&(key.0, key.1.clone(), d)).map(Arc::clone))
-        };
-        // Build or ladder outside the locks: expansions dominate and must
-        // overlap across worker threads. Two workers racing on one key
-        // build twice; the loser's space is dropped (counted either way, so
-        // the "constructions < scenarios" telemetry stays honest).
-        // A ladder budget failure falls through to the from-scratch
-        // pre-count below: `extend` reports `needed` at per-run
-        // granularity, `expand` at per-sequence-level granularity, and
-        // which path a request takes depends on scheduling — so the
-        // *canonical* (from-scratch) error is the one recorded and
-        // memoized, keeping budget-exceeded JSONL rows deterministic. The
-        // pre-count aborts early and interns nothing, so the fallback is
-        // cheap.
-        let laddered =
-            ancestor.and_then(|base| self.ladder(base, ma, values, depth, max_runs).ok());
-        match laddered {
-            Some(space) => {
-                self.ladder_hits.fetch_add(1, Ordering::Relaxed);
-                span.set_attr("outcome", "ladder");
-                cache_counters().note("ladder");
-                Ok((space, false))
-            }
-            None => {
-                match PrefixSpace::expand_budgeted(ma, values, depth, &self.expand_cfg(max_runs)) {
-                    Ok(space) => {
-                        self.builds.fetch_add(1, Ordering::Relaxed);
-                        span.set_attr("outcome", "build");
-                        cache_counters().note("build");
-                        self.record_expand(space.expand_stats());
-                        let space = Arc::new(space);
-                        let mut cached = self.spaces.lock().expect("cache lock poisoned");
-                        let entry = cached.entry(key).or_insert_with(|| Arc::clone(&space));
-                        Ok((Arc::clone(entry), false))
+        loop {
+            let plan = match self.plan(&key, &fail_key) {
+                Ok(plan) => plan,
+                Err(err) => {
+                    self.note(&mut span, "budget-miss");
+                    return Err(err);
+                }
+            };
+            match plan {
+                Plan::Wait(slot) => {
+                    // A hit may carry a space built under a *larger* budget
+                    // than this request's; that is fine — budgets bound
+                    // work, not results, and the cached space is exact.
+                    if let Some(space) = slot.wait() {
+                        self.note(&mut span, "hit");
+                        return Ok((space, true));
                     }
-                    Err(err) => {
-                        self.budget_misses.fetch_add(1, Ordering::Relaxed);
-                        span.set_attr("outcome", "budget-miss");
-                        cache_counters().note("budget-miss");
-                        self.failures
-                            .lock()
-                            .expect("cache lock poisoned")
-                            .insert(fail_key, err.clone());
-                        Err(err)
-                    }
+                }
+                Plan::Fill { ancestor, rungs } => {
+                    let base = match ancestor {
+                        Some(slot) => match slot.wait() {
+                            Some(base) => Some(base),
+                            // The ancestor was abandoned: release the
+                            // claims (dropping them) and look up afresh.
+                            None => continue,
+                        },
+                        None => None,
+                    };
+                    return self
+                        .fill(base, rungs, ma, values, depth, max_runs, fail_key, &mut span);
                 }
             }
         }
     }
 
-    /// Extend `base` up to `depth` one round at a time (the ladder leg of
-    /// a miss). `base` stays cached and intact throughout, and every rung
-    /// — intermediate depths included — is inserted into the cache, so a
-    /// later request for a shallower depth is a pure hit instead of a
-    /// repeat climb. If another worker already cached a rung, its copy
-    /// wins and the climb continues from the shared `Arc`.
-    fn ladder(
+    /// Count one lookup outcome: this cache's counter, the registry
+    /// mirror, and the lookup span.
+    fn note(&self, span: &mut SpanGuard, outcome: &'static str) {
+        let counter = match outcome {
+            "hit" => &self.hits,
+            "build" => &self.builds,
+            "ladder" => &self.ladder_hits,
+            _ => &self.budget_misses,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        span.set_attr("outcome", outcome);
+        cache_counters().note(outcome);
+    }
+
+    /// Under the map lock: wait on the key's slot, report its memoized
+    /// budget failure, or claim it (and the rungs below it down to the
+    /// deepest claimed ancestor).
+    fn plan(&self, key: &Key, fail_key: &FailKey) -> Result<Plan<'_>, enumerate::BudgetExceeded> {
+        let mut slots = self.spaces.lock().expect("cache lock poisoned");
+        if let Some(slot) = slots.get(key) {
+            return Ok(Plan::Wait(Arc::clone(slot)));
+        }
+        if let Some(err) = self.failures.lock().expect("cache lock poisoned").get(fail_key) {
+            return Err(err.clone());
+        }
+        let (fingerprint, values, depth) = key;
+        let ancestor = (0..*depth).rev().find_map(|d| {
+            slots.get(&(*fingerprint, values.clone(), d)).map(|slot| (d, Arc::clone(slot)))
+        });
+        let first = ancestor.as_ref().map_or(*depth, |&(d, _)| d + 1);
+        let rungs = (first..=*depth)
+            .map(|d| {
+                let key = (*fingerprint, values.clone(), d);
+                let slot = Arc::new(Slot::default());
+                slots.insert(key.clone(), Arc::clone(&slot));
+                Claim { slots: &self.spaces, key, slot, filled: false }
+            })
+            .collect();
+        Ok(Plan::Fill { ancestor: ancestor.map(|(_, slot)| slot), rungs })
+    }
+
+    /// Fill claimed slots: ladder up from `base` rung by rung, or build
+    /// the requested depth from scratch. A ladder budget failure falls
+    /// through to the from-scratch pre-count: the ladder's base may have
+    /// been built under a larger budget, and `expand` may already fail at
+    /// a shallower level, so the *canonical* (from-scratch) error is the
+    /// one recorded and memoized, keeping budget-exceeded JSONL rows
+    /// deterministic. Both stop growing at the first prefix over the
+    /// budget and intern nothing, so the fallback is cheap.
+    #[allow(clippy::too_many_arguments)]
+    fn fill(
         &self,
-        base: Arc<PrefixSpace>,
+        base: Option<Arc<PrefixSpace>>,
+        mut rungs: Vec<Claim<'_>>,
         ma: &dyn MessageAdversary,
         values: &[Value],
         depth: usize,
         max_runs: usize,
-    ) -> Result<Arc<PrefixSpace>, enumerate::BudgetExceeded> {
-        debug_assert!(base.depth() < depth);
-        let mut current = base;
-        while current.depth() < depth {
-            let next = Arc::new(current.extend_from_budgeted(ma, &self.expand_cfg(max_runs))?);
-            self.record_expand(next.expand_stats());
-            let rung: Key = (ma.fingerprint(), values.to_vec(), next.depth());
-            let mut cached = self.spaces.lock().expect("cache lock poisoned");
-            let entry = cached.entry(rung).or_insert_with(|| Arc::clone(&next));
-            current = Arc::clone(entry);
+        fail_key: FailKey,
+        span: &mut SpanGuard,
+    ) -> Result<(Arc<PrefixSpace>, bool), enumerate::BudgetExceeded> {
+        let target = rungs.pop().expect("the requested key is always claimed");
+        if let Some(mut current) = base {
+            let cfg = self.expand_cfg(max_runs);
+            let climbed = rungs.into_iter().map(Some).chain([None]).try_for_each(|rung| {
+                let next = Arc::new(current.extend_from_budgeted(ma, &cfg)?);
+                self.record_expand(next.expand_stats());
+                if let Some(rung) = rung {
+                    rung.fill(&next);
+                }
+                current = next;
+                Ok::<(), enumerate::BudgetExceeded>(())
+            });
+            if climbed.is_ok() {
+                target.fill(&current);
+                self.note(span, "ladder");
+                return Ok((current, false));
+            }
         }
-        Ok(current)
+        match PrefixSpace::expand_budgeted(ma, values, depth, &self.expand_cfg(max_runs)) {
+            Ok(space) => {
+                self.note(span, "build");
+                self.record_expand(space.expand_stats());
+                let space = Arc::new(space);
+                target.fill(&space);
+                Ok((space, false))
+            }
+            Err(err) => {
+                self.note(span, "budget-miss");
+                self.failures.lock().expect("cache lock poisoned").insert(fail_key, err.clone());
+                Err(err)
+            }
+        }
     }
 }
 
@@ -470,6 +597,34 @@ mod tests {
         assert_eq!(totals.passes, 2);
         assert!(totals.shards > totals.passes, "threaded passes must shard");
         assert_eq!(serial.expand_totals().shards, serial.expand_totals().passes);
+    }
+
+    #[test]
+    fn concurrent_requests_fill_each_key_once() {
+        let cache = SpaceCache::new();
+        let ma = GeneralMA::oblivious(generators::lossy_link_full());
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for worker in 0..4 {
+                let (cache, ma, start) = (&cache, &ma, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    // Half the workers ask shallow-then-deep, half the
+                    // reverse, so fills race on both keys.
+                    let depths = if worker % 2 == 0 { [4, 5] } else { [5, 4] };
+                    for depth in depths {
+                        let (space, _) =
+                            cache.space_with_meta(ma, &[0, 1], depth, 10_000_000).unwrap();
+                        assert_eq!(space.depth(), depth);
+                    }
+                });
+            }
+        });
+        let stats = cache.stats();
+        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.expand_totals().passes, 2, "every key is expanded exactly once");
+        assert_eq!(stats.builds + stats.ladder_hits, 2);
+        assert_eq!(stats.requests(), 8);
     }
 
     #[test]

@@ -26,6 +26,8 @@ pub const KNOWN_SPANS: &[&str] = &[
     "cert.verify",
     "journal.load",
     "expand",
+    "seq.enumerate",
+    "expand.level",
     "shard",
     "absorb",
     "components",

@@ -11,10 +11,14 @@
 //! indistinguishable through the whole compared horizon `T`", i.e. the true
 //! distance is `< 2^{−T}` (it is `0` iff the infinite extensions never
 //! diverge — decidable for lassos via [`crate::contamination`]).
+//!
+//! Every function reads runs through [`RunViews`], so standalone
+//! [`PrefixRun`]s and the run handles of an expansion share one
+//! implementation.
 
 use dyngraph::Pid;
 
-use crate::{PrefixRun, ViewTable};
+use crate::{PrefixRun, RunViews, ViewTable};
 
 /// An exact dyadic distance value; see the module docs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,7 +96,7 @@ impl Ord for Distance {
 ///
 /// # Panics
 /// Panics if the runs disagree on `n`.
-pub fn divergence_time_p(a: &PrefixRun, b: &PrefixRun, p: Pid) -> Option<usize> {
+pub fn divergence_time_p<R: RunViews + ?Sized>(a: &R, b: &R, p: Pid) -> Option<usize> {
     assert_eq!(a.n(), b.n(), "runs must have the same number of processes");
     let horizon = a.rounds().min(b.rounds());
     if a.view(p, horizon) == b.view(p, horizon) {
@@ -112,7 +116,7 @@ pub fn divergence_time_p(a: &PrefixRun, b: &PrefixRun, p: Pid) -> Option<usize> 
 }
 
 /// The pseudo-metric `d_{p}` for a single process.
-pub fn d_p(a: &PrefixRun, b: &PrefixRun, p: Pid) -> Distance {
+pub fn d_p<R: RunViews + ?Sized>(a: &R, b: &R, p: Pid) -> Distance {
     let horizon = a.rounds().min(b.rounds());
     match divergence_time_p(a, b, p) {
         Some(t) => Distance::Finite(t),
@@ -126,26 +130,26 @@ pub fn d_p(a: &PrefixRun, b: &PrefixRun, p: Pid) -> Distance {
 ///
 /// # Panics
 /// Panics if `ps` is empty or contains an out-of-range pid.
-pub fn d_set(a: &PrefixRun, b: &PrefixRun, ps: &[Pid]) -> Distance {
+pub fn d_set<R: RunViews + ?Sized>(a: &R, b: &R, ps: &[Pid]) -> Distance {
     assert!(!ps.is_empty(), "P must be nonempty");
     ps.iter().map(|&p| d_p(a, b, p)).max().expect("nonempty")
 }
 
 /// The common-prefix metric `d_max = d_{[n]}` (Eq. 1).
-pub fn d_max(a: &PrefixRun, b: &PrefixRun) -> Distance {
+pub fn d_max<R: RunViews + ?Sized>(a: &R, b: &R) -> Distance {
     let all: Vec<Pid> = (0..a.n()).collect();
     d_set(a, b, &all)
 }
 
 /// The minimum pseudo-semi-metric `d_min = min_p d_{p}` (Eq. 3): the
 /// distance seen by the process that is *last* to distinguish the runs.
-pub fn d_min(a: &PrefixRun, b: &PrefixRun) -> Distance {
+pub fn d_min<R: RunViews + ?Sized>(a: &R, b: &R) -> Distance {
     (0..a.n()).map(|p| d_p(a, b, p)).min().expect("n ≥ 1")
 }
 
 /// The diameter `d_min(A) = sup {d_min(a,b) : a,b ∈ A}` of a set of runs
 /// (paper Definition 5.7). Returns `None` for an empty or singleton set.
-pub fn diameter_min(runs: &[&PrefixRun]) -> Option<Distance> {
+pub fn diameter_min<R: RunViews>(runs: &[R]) -> Option<Distance> {
     let mut best: Option<Distance> = None;
     for (i, a) in runs.iter().enumerate() {
         for b in &runs[i + 1..] {
@@ -161,7 +165,7 @@ pub fn diameter_min(runs: &[&PrefixRun]) -> Option<Distance> {
 
 /// The set distance `d_min(A, B) = inf {d_min(a,b)}` (paper Definition
 /// 5.12). Returns `None` if either set is empty.
-pub fn set_distance_min(xs: &[&PrefixRun], ys: &[&PrefixRun]) -> Option<Distance> {
+pub fn set_distance_min<R: RunViews>(xs: &[R], ys: &[R]) -> Option<Distance> {
     let mut best: Option<Distance> = None;
     for a in xs {
         for b in ys {
@@ -322,7 +326,7 @@ mod tests {
         let d = set_distance_min(&[&a], &[&b, &c]).unwrap();
         // a—b share p0's view forever within horizon → Below(2).
         assert_eq!(d, Distance::Below(2));
-        assert!(diameter_min(&[]).is_none());
+        assert!(diameter_min::<&PrefixRun>(&[]).is_none());
         assert!(set_distance_min(&[], &[&a]).is_none());
     }
 }

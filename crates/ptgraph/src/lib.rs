@@ -14,7 +14,8 @@
 //!   below resolution `2^−t` are functions of these ids.
 //! * [`PrefixRun`] — a finite run `(input vector, graph-sequence prefix)`
 //!   with all views interned; the finite shadow of a point of the paper's
-//!   space `PT^ω`.
+//!   space `PT^ω`. [`RunViews`] is the view-access trait it shares with the
+//!   run handles of an expansion's flat run store.
 //! * [`distance`] — the `P`-pseudo-metric `d_P` (§4.1), the minimum
 //!   pseudo-semi-metric `d_min` (§4.2), and the common-prefix metric
 //!   `d_max = d_{[n]}` (Fig. 3), all as exact dyadic values.
@@ -49,8 +50,8 @@ mod run;
 mod view;
 
 pub use ptg::{fig2_example, PtGraph, PtNode};
-pub use run::{InfiniteRun, PrefixRun};
-pub use view::{LocalViews, ShardTable, ViewData, ViewId, ViewInterner, ViewTable};
+pub use run::{InfiniteRun, PrefixRun, RunViews};
+pub use view::{LocalViews, ShardTable, ViewData, ViewId, ViewInterner, ViewTable, MAX_VIEW_N};
 
 /// A consensus input/output value (the paper's finite domain `V_I ⊆ V_O`).
 pub type Value = u32;

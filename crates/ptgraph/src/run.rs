@@ -6,11 +6,53 @@ use dyngraph::{influence::InfluenceTracker, GraphSeq, Lasso, Pid, Round};
 
 use crate::{Inputs, Value, ViewId, ViewInterner, ViewTable};
 
+/// Read access to a run's interned views: what the distance functions and
+/// the per-run analyses need. Implemented by standalone [`PrefixRun`]s and
+/// by the run handles of an expansion's flat run store.
+pub trait RunViews {
+    /// Number of processes.
+    fn n(&self) -> usize;
+
+    /// Number of rounds `T` of the prefix.
+    fn rounds(&self) -> usize;
+
+    /// The interned view of `p` at time `t` (`0 ≤ t ≤ rounds()`).
+    fn view(&self, p: Pid, t: usize) -> ViewId;
+
+    /// The earliest time by which **every** process has `p`'s initial value
+    /// in its view — `p`'s broadcast completion `T(a)` (paper Def. 5.8) —
+    /// or `None` within this prefix.
+    fn broadcast_complete(&self, p: Pid, table: &ViewTable) -> Option<Round> {
+        (0..=self.rounds())
+            .find(|&t| (0..self.n()).all(|q| table.data(self.view(q, t)).has_heard(p)))
+    }
+}
+
+impl<R: RunViews + ?Sized> RunViews for &R {
+    #[inline]
+    fn n(&self) -> usize {
+        (**self).n()
+    }
+
+    #[inline]
+    fn rounds(&self) -> usize {
+        (**self).rounds()
+    }
+
+    #[inline]
+    fn view(&self, p: Pid, t: usize) -> ViewId {
+        (**self).view(p, t)
+    }
+}
+
 /// A finite run: an input assignment together with a graph-sequence prefix,
 /// plus every process's interned view at every time `0 ≤ t ≤ T`.
 ///
 /// This is the finite shadow of a point of the paper's space `PT^ω`: the
 /// depth-`T` prefix determines every distance value `≥ 2^{−T}` (§4).
+/// Expansions store their runs flat instead; a `PrefixRun` is the
+/// standalone form (lasso prefixes, certificate replays, examples), built
+/// on the same row interner.
 ///
 /// ```
 /// use dyngraph::GraphSeq;
@@ -29,13 +71,15 @@ use crate::{Inputs, Value, ViewId, ViewInterner, ViewTable};
 pub struct PrefixRun {
     inputs: Inputs,
     seq: GraphSeq,
-    /// `views[t][p]` = view of `p` at time `t`, for `0 ≤ t ≤ seq.rounds()`.
-    views: Vec<Vec<ViewId>>,
+    /// `views[t * n + p]` = view of `p` at time `t`, for
+    /// `0 ≤ t ≤ seq.rounds()`.
+    views: Vec<ViewId>,
 }
 
 impl PrefixRun {
     /// Compute the run of `inputs` under `seq`, interning views in `table`
-    /// (the shared [`ViewTable`] or a worker's [`crate::ShardTable`]).
+    /// (the shared [`ViewTable`] or a worker's [`crate::ShardTable`]) one
+    /// round row at a time.
     ///
     /// # Panics
     /// Panics if `inputs.len()` disagrees with `table.n()` or with the
@@ -50,18 +94,10 @@ impl PrefixRun {
         if let Some(m) = seq.n() {
             assert_eq!(m, n, "sequence and table disagree on n");
         }
-        let mut views: Vec<Vec<ViewId>> = Vec::with_capacity(seq.rounds() + 1);
-        views.push((0..n).map(|p| table.intern_initial(p, inputs[p])).collect());
-        for t in 1..=seq.rounds() {
-            let g = seq.graph(t);
-            let prev = &views[t - 1];
-            let mut cur = Vec::with_capacity(n);
-            for q in 0..n {
-                let received: Vec<(Pid, ViewId)> =
-                    g.in_neighbors(q).map(|p| (p, prev[p])).collect();
-                cur.push(table.intern_round(q, prev[q], &received));
-            }
-            views.push(cur);
+        let mut views: Vec<ViewId> = Vec::with_capacity((seq.rounds() + 1) * n);
+        views.extend((0..n).map(|p| table.intern_initial(p, inputs[p])));
+        for (t, g) in seq.iter().enumerate() {
+            push_row(&mut views, t * n, g, table);
         }
         PrefixRun { inputs, seq: seq.clone(), views }
     }
@@ -91,12 +127,14 @@ impl PrefixRun {
     /// # Panics
     /// Panics if `p` or `t` is out of range.
     pub fn view(&self, p: Pid, t: usize) -> ViewId {
-        self.views[t][p]
+        assert!(p < self.n(), "process {p} out of range");
+        self.views[t * self.n() + p]
     }
 
     /// All views at time `t`, indexed by process.
     pub fn views_at(&self, t: usize) -> &[ViewId] {
-        &self.views[t]
+        let n = self.n();
+        &self.views[t * n..(t + 1) * n]
     }
 
     /// Whether this run is `v`-valent: every process starts with `v`.
@@ -108,25 +146,7 @@ impl PrefixRun {
     /// in its view — `p`'s broadcast completion `T(a)` (paper Def. 5.8) —
     /// or `None` within this prefix.
     pub fn broadcast_complete(&self, p: Pid, table: &ViewTable) -> Option<Round> {
-        (0..=self.rounds())
-            .find(|&t| (0..self.n()).all(|q| table.data(self.view(q, t)).has_heard(p)))
-    }
-
-    /// Remap every view id at or above `base_len` through `remap` (the
-    /// table returned by [`ViewTable::absorb`]); ids below `base_len` are
-    /// already global and stay put. The inverse bookkeeping step of
-    /// computing this run against a [`crate::ShardTable`].
-    ///
-    /// # Panics
-    /// Panics if a local id falls outside `remap`.
-    pub fn remap_views(&mut self, base_len: usize, remap: &[ViewId]) {
-        for level in &mut self.views {
-            for v in level {
-                if v.index() >= base_len {
-                    *v = remap[v.index() - base_len];
-                }
-            }
-        }
+        RunViews::broadcast_complete(self, p, table)
     }
 
     /// Extend the run by one round with graph `g`.
@@ -136,16 +156,40 @@ impl PrefixRun {
     pub fn extended<T: ViewInterner + ?Sized>(&self, g: dyngraph::Digraph, table: &mut T) -> Self {
         let n = self.n();
         assert_eq!(g.n(), n);
-        let t = self.rounds();
-        let prev = &self.views[t];
-        let mut cur = Vec::with_capacity(n);
-        for q in 0..n {
-            let received: Vec<(Pid, ViewId)> = g.in_neighbors(q).map(|p| (p, prev[p])).collect();
-            cur.push(table.intern_round(q, prev[q], &received));
-        }
         let mut views = self.views.clone();
-        views.push(cur);
+        push_row(&mut views, self.rounds() * n, &g, table);
         PrefixRun { inputs: self.inputs.clone(), seq: self.seq.extended(g), views }
+    }
+}
+
+/// Append the row after round graph `g` to a flat view list whose last row
+/// starts at `prev`.
+fn push_row<T: ViewInterner + ?Sized>(
+    views: &mut Vec<ViewId>,
+    prev: usize,
+    g: &dyngraph::Digraph,
+    table: &mut T,
+) {
+    let n = table.n();
+    views.extend_from_within(prev..prev + n);
+    let (done, row) = views.split_at_mut(prev + n);
+    table.intern_row(&done[prev..], g, row);
+}
+
+impl RunViews for PrefixRun {
+    #[inline]
+    fn n(&self) -> usize {
+        PrefixRun::n(self)
+    }
+
+    #[inline]
+    fn rounds(&self) -> usize {
+        PrefixRun::rounds(self)
+    }
+
+    #[inline]
+    fn view(&self, p: Pid, t: usize) -> ViewId {
+        PrefixRun::view(self, p, t)
     }
 }
 

@@ -44,7 +44,7 @@ fn main() {
         println!("depth {depth}: chain of {} links:", chain.links.len());
         let ids = chain.run_indices();
         for (k, &i) in ids.iter().enumerate() {
-            let run = &space.runs()[i];
+            let run = &space.runs().get(i);
             let via = if k == 0 {
                 "start".to_string()
             } else {

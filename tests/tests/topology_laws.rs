@@ -153,9 +153,9 @@ fn broadcastable_components_have_constant_broadcaster_input() {
         for c in 0..space.components().count() {
             for &p in &space.component_broadcasters(c) {
                 let members = space.components().members(c);
-                let x0 = space.runs()[members[0]].inputs()[p];
+                let x0 = space.runs().get(members[0]).inputs()[p];
                 for &i in members {
-                    assert_eq!(space.runs()[i].inputs()[p], x0);
+                    assert_eq!(space.runs().get(i).inputs()[p], x0);
                 }
             }
         }
