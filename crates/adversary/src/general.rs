@@ -3,7 +3,6 @@
 use std::sync::OnceLock;
 
 use dyngraph::{scc, Digraph, GraphSeq, Lasso, PidMask, Round};
-use serde::{Deserialize, Serialize};
 
 use crate::MessageAdversary;
 
@@ -13,7 +12,7 @@ use crate::MessageAdversary;
 /// (oblivious). The other variants constrain which infinite sequences are
 /// admissible; combined with a deadline in [`GeneralMA`] they stay compact,
 /// without one they yield the paper's non-compact adversaries (§6.3).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Liveness {
     /// No condition: every sequence over the pool is admissible.
     None,
@@ -87,7 +86,7 @@ pub fn stable_window_position(prefix: &GraphSeq, window: usize) -> Option<Round>
 /// let no_swap = dyngraph::Lasso::parse2("->").unwrap();
 /// assert_eq!(ma.admits_lasso(&no_swap), Some(false));
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GeneralMA {
     pool: Vec<Digraph>,
     /// `scc::rooted_source` of each pool graph, computed on first use by

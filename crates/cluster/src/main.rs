@@ -16,6 +16,7 @@
 //! ```
 
 use std::collections::{BTreeMap, HashMap};
+use std::fmt;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -246,15 +247,41 @@ struct Flags {
     pairs: Vec<(String, Option<String>)>,
 }
 
+/// A malformed command line.
+#[derive(Debug, PartialEq, Eq)]
+enum FlagError {
+    /// A bare argument where a `--flag` was expected.
+    Positional(String),
+    /// The same flag given twice (`--depth 1 --depth 3`).
+    Repeated(String),
+    /// A switch given a value (`--strict no`).
+    SwitchValue { key: String, value: String },
+}
+
+impl fmt::Display for FlagError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FlagError::Positional(arg) => write!(f, "unexpected positional argument {arg:?}"),
+            FlagError::Repeated(key) => write!(f, "--{key} given more than once"),
+            FlagError::SwitchValue { key, value } => {
+                write!(f, "--{key} is a switch and takes no value, got {value:?}")
+            }
+        }
+    }
+}
+
 impl Flags {
-    fn parse(args: &[String]) -> Result<Flags, String> {
-        let mut pairs = Vec::new();
+    fn parse(args: &[String]) -> Result<Flags, FlagError> {
+        let mut pairs: Vec<(String, Option<String>)> = Vec::new();
         let mut i = 0;
         while i < args.len() {
             let arg = &args[i];
             let Some(key) = arg.strip_prefix("--") else {
-                return Err(format!("unexpected positional argument {arg:?}"));
+                return Err(FlagError::Positional(arg.clone()));
             };
+            if pairs.iter().any(|(k, _)| k == key) {
+                return Err(FlagError::Repeated(key.to_string()));
+            }
             let value = args.get(i + 1).filter(|v| !v.starts_with("--"));
             match value {
                 Some(v) => {
@@ -276,6 +303,18 @@ impl Flags {
 
     fn has(&self, key: &str) -> bool {
         self.pairs.iter().any(|(k, _)| k == key)
+    }
+
+    /// Whether the bare switch `--key` was given; a value after it is an
+    /// error, not silently read as "on".
+    fn switch(&self, key: &str) -> Result<bool, FlagError> {
+        match self.pairs.iter().find(|(k, _)| k == key) {
+            None => Ok(false),
+            Some((_, None)) => Ok(true),
+            Some((_, Some(value))) => {
+                Err(FlagError::SwitchValue { key: key.to_string(), value: value.clone() })
+            }
+        }
     }
 
     fn get_usize(&self, key: &str, default: usize) -> Result<usize, String> {
@@ -367,7 +406,10 @@ fn emit(line: std::fmt::Arguments<'_>) {
 }
 
 fn cmd_catalog(args: &[String]) -> ExitCode {
-    match Flags::parse(args).and_then(|flags| flags.reject_unknown(&[])) {
+    match Flags::parse(args)
+        .map_err(|e| e.to_string())
+        .and_then(|f| f.reject_unknown(&[]))
+    {
         Ok(()) => {}
         Err(e) => return fail(&e),
     }
@@ -447,7 +489,7 @@ fn expand_threads(flags: &Flags, default: usize) -> Result<usize, String> {
 fn cmd_check(args: &[String]) -> ExitCode {
     let flags = match Flags::parse(args) {
         Ok(f) => f,
-        Err(e) => return fail(&e),
+        Err(e) => return fail(&e.to_string()),
     };
     if let Err(e) = flags.reject_unknown(&[
         "spec",
@@ -494,6 +536,10 @@ fn cmd_check(args: &[String]) -> ExitCode {
         Ok(t) => t,
         Err(e) => return fail(&e),
     };
+    let certificate = match flags.switch("certificate") {
+        Ok(c) => c,
+        Err(e) => return fail(&e.to_string()),
+    };
     let session = match Session::with_configs(
         ExpandConfig { threads, max_runs: budget },
         AnalysisConfig::default(),
@@ -507,7 +553,7 @@ fn cmd_check(args: &[String]) -> ExitCode {
         // One single-query batch per analysis: records stream as each
         // analysis completes, each with index 0 (the `check` contract).
         let mut query = Query::new(spec.clone(), depth, analysis);
-        if flags.has("certificate") {
+        if certificate {
             query = query.with_certificate();
         }
         for record in session.check_many(std::slice::from_ref(&query)).store.records() {
@@ -540,7 +586,7 @@ fn cmd_verify_cert(args: &[String]) -> ExitCode {
     let rest: Vec<String> = rest.into_iter().cloned().collect();
     let flags = match Flags::parse(&rest) {
         Ok(f) => f,
-        Err(e) => return fail(&e),
+        Err(e) => return fail(&e.to_string()),
     };
     if let Err(e) = flags.reject_unknown(&["input"]) {
         return fail(&e);
@@ -627,7 +673,7 @@ fn cmd_verify_cert(args: &[String]) -> ExitCode {
 fn cmd_sweep(args: &[String]) -> ExitCode {
     let flags = match Flags::parse(args) {
         Ok(f) => f,
-        Err(e) => return fail(&e),
+        Err(e) => return fail(&e.to_string()),
     };
     if let Err(e) = flags.reject_unknown(&[
         "catalog",
@@ -653,10 +699,15 @@ fn cmd_sweep(args: &[String]) -> ExitCode {
         Ok(p) => p,
         Err(e) => return fail(&e),
     };
-    if flags.has("catalog") && flags.has("spec") {
+    let (catalog, strict, assert_warm) =
+        match (flags.switch("catalog"), flags.switch("strict"), flags.switch("assert-warm")) {
+            (Ok(c), Ok(s), Ok(a)) => (c, s, a),
+            (Err(e), _, _) | (_, Err(e), _) | (_, _, Err(e)) => return fail(&e.to_string()),
+        };
+    if catalog && flags.has("spec") {
         return fail("--catalog and --spec are mutually exclusive");
     }
-    if !flags.has("catalog") && !flags.has("spec") {
+    if !catalog && !flags.has("spec") {
         return fail(
             "sweep requires --catalog (the built-in adversary registry) or --spec \"...\" \
              (one spec-language adversary)",
@@ -940,13 +991,13 @@ fn cmd_sweep(args: &[String]) -> ExitCode {
             for mismatch in &mismatched {
                 eprintln!("ground-truth mismatch: {mismatch}");
             }
-            if flags.has("strict") && !mismatched.is_empty() {
+            if strict && !mismatched.is_empty() {
                 return fail(&format!(
                     "--strict: {} verdict(s) drifted from the catalog's pinned ground truth",
                     mismatched.len()
                 ));
             }
-            if flags.has("strict") && !inconclusive.is_empty() {
+            if strict && !inconclusive.is_empty() {
                 for entry in &inconclusive {
                     eprintln!("inconclusive at max depth: {entry}");
                 }
@@ -956,7 +1007,7 @@ fn cmd_sweep(args: &[String]) -> ExitCode {
                     inconclusive.len()
                 ));
             }
-            if flags.has("assert-warm") && report.cache.builds > 0 {
+            if assert_warm && report.cache.builds > 0 {
                 return fail(&format!(
                     "--assert-warm: {} full prefix-space expansion(s) on a supposedly warm cache",
                     report.cache.builds
@@ -971,7 +1022,7 @@ fn cmd_sweep(args: &[String]) -> ExitCode {
 fn cmd_merge(args: &[String]) -> ExitCode {
     let flags = match Flags::parse(args) {
         Ok(f) => f,
-        Err(e) => return fail(&e),
+        Err(e) => return fail(&e.to_string()),
     };
     if let Err(e) = flags.reject_unknown(&["inputs", "out"]) {
         return fail(&e);
@@ -1046,7 +1097,7 @@ fn read_sweep_meta(results: &Path) -> Option<SweepMeta> {
 fn cmd_diff(args: &[String]) -> ExitCode {
     let flags = match Flags::parse(args) {
         Ok(f) => f,
-        Err(e) => return fail(&e),
+        Err(e) => return fail(&e.to_string()),
     };
     if let Err(e) = flags.reject_unknown(&["a", "b"]) {
         return fail(&e);
@@ -1094,7 +1145,7 @@ fn cmd_diff(args: &[String]) -> ExitCode {
 fn cmd_bench_gate(args: &[String]) -> ExitCode {
     let flags = match Flags::parse(args) {
         Ok(f) => f,
-        Err(e) => return fail(&e),
+        Err(e) => return fail(&e.to_string()),
     };
     if let Err(e) = flags.reject_unknown(&["baseline", "fresh", "max-regression", "keys", "exact"])
     {
@@ -1163,7 +1214,7 @@ fn parse_analyses(flags: &Flags) -> Result<Vec<AnalysisKind>, String> {
 fn cmd_serve(args: &[String]) -> ExitCode {
     let flags = match Flags::parse(args) {
         Ok(f) => f,
-        Err(e) => return fail(&e),
+        Err(e) => return fail(&e.to_string()),
     };
     if let Err(e) = flags.reject_unknown(&[
         "addr",
@@ -1185,7 +1236,11 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     // local flusher, keeping finished spans in the ring for a
     // coordinator to harvest via `GET /v1/trace` (a local `--trace-out`
     // drain would race the harvest and swallow spans).
-    if flags.has("trace") {
+    let trace = match flags.switch("trace") {
+        Ok(t) => t,
+        Err(e) => return fail(&e.to_string()),
+    };
+    if trace {
         if trace_path.is_some() {
             return fail(
                 "--trace and --trace-out are mutually exclusive (the --trace-out \
@@ -1259,7 +1314,7 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         Some(dir) => emit(format_args!("verdict journal: {}", dir.display())),
         None => emit(format_args!("verdict journal: disabled (memory-only session)")),
     }
-    if flags.has("trace") {
+    if trace {
         emit(format_args!("tracing to the span ring (harvest with GET /v1/trace?since=ID)"));
     }
     if let Some(path) = trace_path {
@@ -1285,7 +1340,7 @@ fn cmd_serve(args: &[String]) -> ExitCode {
 fn cmd_serve_bench(args: &[String]) -> ExitCode {
     let flags = match Flags::parse(args) {
         Ok(f) => f,
-        Err(e) => return fail(&e),
+        Err(e) => return fail(&e.to_string()),
     };
     if let Err(e) = flags.reject_unknown(&[
         "addr",
@@ -1305,9 +1360,13 @@ fn cmd_serve_bench(args: &[String]) -> ExitCode {
             return fail(&format!("--{needs_value} expects a value"));
         }
     }
+    let assert_warm = match flags.switch("assert-warm") {
+        Ok(a) => a,
+        Err(e) => return fail(&e.to_string()),
+    };
     let mut cfg = LoadGenConfig {
         addr: flags.get("addr").map(String::from),
-        assert_warm: flags.has("assert-warm"),
+        assert_warm,
         ..LoadGenConfig::default()
     };
     for (flag, slot) in [
@@ -1354,12 +1413,16 @@ fn cmd_serve_bench(args: &[String]) -> ExitCode {
 fn cmd_report(args: &[String]) -> ExitCode {
     let flags = match Flags::parse(args) {
         Ok(f) => f,
-        Err(e) => return fail(&e),
+        Err(e) => return fail(&e.to_string()),
     };
     if let Err(e) = flags.reject_unknown(&["input", "timings", "trace"]) {
         return fail(&e);
     }
-    if flags.has("trace") && !flags.has("timings") {
+    let timings = match flags.switch("timings") {
+        Ok(t) => t,
+        Err(e) => return fail(&e.to_string()),
+    };
+    if flags.has("trace") && !timings {
         return fail("--trace only applies with --timings");
     }
     if flags.has("input") {
@@ -1383,7 +1446,7 @@ fn cmd_report(args: &[String]) -> ExitCode {
             Err((line, e)) => return fail(&format!("{input}:{line}: {e}")),
         }
     }
-    if flags.has("timings") {
+    if timings {
         let Some(trace) = flags.get("trace") else {
             return fail("--timings needs --trace TRACE.jsonl (a --trace-out file)");
         };
@@ -1432,7 +1495,7 @@ fn cmd_report(args: &[String]) -> ExitCode {
 fn cmd_cluster(args: &[String]) -> ExitCode {
     let flags = match Flags::parse(args) {
         Ok(f) => f,
-        Err(e) => return fail(&e),
+        Err(e) => return fail(&e.to_string()),
     };
     if let Err(e) = flags.reject_unknown(&[
         "workers",
@@ -1589,7 +1652,7 @@ fn cmd_cluster(args: &[String]) -> ExitCode {
 fn cmd_cluster_bench(args: &[String]) -> ExitCode {
     let flags = match Flags::parse(args) {
         Ok(f) => f,
-        Err(e) => return fail(&e),
+        Err(e) => return fail(&e.to_string()),
     };
     if let Err(e) = flags.reject_unknown(&["max-depth", "analyses", "spot-check", "threads", "out"])
     {
@@ -1631,7 +1694,7 @@ fn cmd_cluster_bench(args: &[String]) -> ExitCode {
 fn cmd_trace_check(args: &[String]) -> ExitCode {
     let flags = match Flags::parse(args) {
         Ok(f) => f,
-        Err(e) => return fail(&e),
+        Err(e) => return fail(&e.to_string()),
     };
     if let Err(e) = flags.reject_unknown(&["input"]) {
         return fail(&e);
@@ -1652,5 +1715,35 @@ fn cmd_trace_check(args: &[String]) -> ExitCode {
             ExitCode::SUCCESS
         }
         Err(e) => fail(&format!("{input}: {e}")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn repeated_flag_is_rejected() {
+        let err = Flags::parse(&args("--adversary sw-lossy-link --depth 1 --depth 3"))
+            .err()
+            .expect("a repeated flag must not parse");
+        assert_eq!(err, FlagError::Repeated("depth".into()));
+        // A repeated switch is just as ambiguous.
+        let err = Flags::parse(&args("--catalog --strict --strict")).err().unwrap();
+        assert_eq!(err, FlagError::Repeated("strict".into()));
+    }
+
+    #[test]
+    fn switch_with_a_value_is_rejected() {
+        let flags = Flags::parse(&args("--catalog --strict no")).unwrap();
+        assert_eq!(flags.switch("catalog"), Ok(true));
+        assert_eq!(flags.switch("assert-warm"), Ok(false));
+        let err = flags.switch("strict").unwrap_err();
+        assert_eq!(err, FlagError::SwitchValue { key: "strict".into(), value: "no".into() });
+        assert!(err.to_string().contains("--strict is a switch"), "{err}");
     }
 }

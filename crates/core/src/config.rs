@@ -1,12 +1,9 @@
 //! Typed configuration for the expansion engine, the analyses, and the
 //! caching layers — the `Config` half of the [`Session`]/`Query` facade.
 //!
-//! Three PRs of engine growth (sweeps, persistence, parallel expansion)
-//! each threaded a new knob through the stack as a positional parameter,
-//! breeding `_with` variants at every seam (`PrefixSpace::build` /
-//! `build_with` / `extended` / `extended_with` / …). These structs collapse
-//! that sprawl: a knob is a named field with a documented default, and
-//! adding the *next* knob is additive instead of signature-breaking.
+//! A knob is a named field with a documented default rather than a
+//! positional parameter, so adding the *next* knob is additive instead of
+//! signature-breaking.
 //!
 //! * [`ExpandConfig`] — how prefix spaces are expanded (worker shards,
 //!   run budget);
@@ -24,10 +21,8 @@ use std::path::PathBuf;
 
 /// Configuration of a prefix-space expansion pass.
 ///
-/// Replaces the positional `(max_runs, threads)` tail of the old
-/// `PrefixSpace::build_with` / `extended_with` / `extended_from_with`
-/// family. The expanded space is **byte-identical for every `threads`
-/// value** — the knob trades CPU for wall clock, never results.
+/// The expanded space is **byte-identical for every `threads` value** —
+/// the knob trades CPU for wall clock, never results.
 ///
 /// ```
 /// use consensus_core::config::ExpandConfig;
@@ -220,8 +215,8 @@ mod tests {
 
     #[test]
     fn defaults_match_the_legacy_constructors() {
-        // The legacy `SolvabilityChecker::new` / `PrefixSpace::build`
-        // defaults, so config-free sessions reproduce historical outputs.
+        // The pinned defaults, so config-free sessions reproduce
+        // historical outputs.
         let e = ExpandConfig::default();
         assert_eq!((e.threads, e.max_runs), (1, 2_000_000));
         let a = AnalysisConfig::default();

@@ -104,7 +104,7 @@ impl Verdict {
 ///
 /// Sources are free to serve a depth-`t` request by *laddering*: extending
 /// a shallower space they already hold via
-/// [`PrefixSpace::extended_from`], which yields a space identical to a
+/// [`PrefixSpace::extend_from`], which yields a space identical to a
 /// from-scratch build at `t`. The checker's ascending-depth request pattern
 /// makes every request after the first a one-round extension for such a
 /// source.
@@ -135,7 +135,8 @@ impl SpaceSource for FreshSpaces {
         depth: usize,
         max_runs: usize,
     ) -> Result<Arc<PrefixSpace>, enumerate::BudgetExceeded> {
-        PrefixSpace::build_impl(ma, values, depth, max_runs, 1).map(Arc::new)
+        PrefixSpace::expand_budgeted(ma, values, depth, &ExpandConfig::with_budget(max_runs))
+            .map(Arc::new)
     }
 }
 
@@ -167,9 +168,7 @@ impl<M: MessageAdversary> SolvabilityChecker<M> {
         Self::with_config(ma, AnalysisConfig::default(), ExpandConfig::default())
     }
 
-    /// A checker with binary inputs and explicit analysis/engine configs —
-    /// the typed replacement for chaining `max_depth` / `max_runs` /
-    /// `strong_validity` / `expand_threads` setters.
+    /// A checker with binary inputs and explicit analysis/engine configs.
     ///
     /// ```
     /// use consensus_core::config::{AnalysisConfig, ExpandConfig};
@@ -212,16 +211,6 @@ impl<M: MessageAdversary> SolvabilityChecker<M> {
     /// Set the maximum lasso cycle length searched for exact chains.
     pub fn max_chain_cycle(mut self, c: usize) -> Self {
         self.analysis.max_chain_cycle = c;
-        self
-    }
-
-    /// Legacy knob for the expansion worker count.
-    #[deprecated(
-        since = "0.1.0",
-        note = "pass an `ExpandConfig` to `SolvabilityChecker::with_config` instead"
-    )]
-    pub fn expand_threads(mut self, threads: usize) -> Self {
-        self.expand.threads = threads.max(1);
         self
     }
 

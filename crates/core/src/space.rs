@@ -78,8 +78,7 @@ impl PrefixSpace {
         depth: usize,
         cfg: &ExpandConfig,
     ) -> Result<Self, Error> {
-        Self::build_impl(ma, values, depth, cfg.max_runs, cfg.effective_threads())
-            .map_err(Error::from)
+        Self::expand_budgeted(ma, values, depth, cfg).map_err(Error::from)
     }
 
     /// Extend the space by one round incrementally: runs are extended in
@@ -96,8 +95,26 @@ impl PrefixSpace {
         ma: &dyn MessageAdversary,
         cfg: &ExpandConfig,
     ) -> Result<Self, (Self, Error)> {
-        self.extend_impl(ma, cfg.max_runs, cfg.effective_threads())
-            .map_err(|(space, e)| (space, Error::from(e)))
+        let threads = cfg.effective_threads();
+        let mut expansion = self.expansion;
+        let result = {
+            let mut span = tracer()
+                .span("expand")
+                .with_attr("mode", "extend")
+                .with_attr("depth", expansion.depth + 1)
+                .with_attr("threads", threads);
+            let start = Instant::now();
+            let result = expansion.extend_with(ma, cfg.max_runs, threads);
+            if result.is_ok() {
+                stage_expand().record_duration(start.elapsed());
+                span.set_attr("runs", expansion.runs.len());
+            }
+            result
+        };
+        match result {
+            Ok(()) => Ok(Self::from_expansion(expansion)),
+            Err(e) => Err((Self::from_expansion(expansion), Error::from(e))),
+        }
     }
 
     /// Extend *a copy of* this space by one round, leaving `self` intact —
@@ -120,8 +137,7 @@ impl PrefixSpace {
         ma: &dyn MessageAdversary,
         cfg: &ExpandConfig,
     ) -> Result<Self, Error> {
-        self.extend_from_impl(ma, cfg.max_runs, cfg.effective_threads())
-            .map_err(Error::from)
+        self.extend_from_budgeted(ma, cfg).map_err(Error::from)
     }
 
     /// [`expand`](Self::expand) with the budget-typed error of the
@@ -141,7 +157,21 @@ impl PrefixSpace {
         depth: usize,
         cfg: &ExpandConfig,
     ) -> Result<Self, enumerate::BudgetExceeded> {
-        Self::build_impl(ma, values, depth, cfg.max_runs, cfg.effective_threads())
+        let threads = cfg.effective_threads();
+        let expansion = {
+            let mut span = tracer()
+                .span("expand")
+                .with_attr("mode", "build")
+                .with_attr("depth", depth)
+                .with_attr("threads", threads);
+            let start = Instant::now();
+            let expansion = enumerate::expand_with(ma, values, depth, cfg.max_runs, threads)?;
+            stage_expand().record_duration(start.elapsed());
+            span.set_attr("runs", expansion.runs.len());
+            span.set_attr("views", expansion.table.len());
+            expansion
+        };
+        Ok(Self::from_expansion(expansion))
     }
 
     /// [`extend_from`](Self::extend_from) with the budget-typed error of
@@ -158,66 +188,7 @@ impl PrefixSpace {
         ma: &dyn MessageAdversary,
         cfg: &ExpandConfig,
     ) -> Result<Self, enumerate::BudgetExceeded> {
-        self.extend_from_impl(ma, cfg.max_runs, cfg.effective_threads())
-    }
-
-    pub(crate) fn build_impl(
-        ma: &dyn MessageAdversary,
-        values: &[Value],
-        depth: usize,
-        max_runs: usize,
-        threads: usize,
-    ) -> Result<Self, enumerate::BudgetExceeded> {
-        let expansion = {
-            let mut span = tracer()
-                .span("expand")
-                .with_attr("mode", "build")
-                .with_attr("depth", depth)
-                .with_attr("threads", threads);
-            let start = Instant::now();
-            let expansion = enumerate::expand_with(ma, values, depth, max_runs, threads)?;
-            stage_expand().record_duration(start.elapsed());
-            span.set_attr("runs", expansion.runs.len());
-            span.set_attr("views", expansion.table.len());
-            expansion
-        };
-        Ok(Self::from_expansion(expansion))
-    }
-
-    #[allow(clippy::result_large_err)]
-    pub(crate) fn extend_impl(
-        self,
-        ma: &dyn MessageAdversary,
-        max_runs: usize,
-        threads: usize,
-    ) -> Result<Self, (Self, enumerate::BudgetExceeded)> {
-        let mut expansion = self.expansion;
-        let result = {
-            let mut span = tracer()
-                .span("expand")
-                .with_attr("mode", "extend")
-                .with_attr("depth", expansion.depth + 1)
-                .with_attr("threads", threads);
-            let start = Instant::now();
-            let result = expansion.extend_with(ma, max_runs, threads);
-            if result.is_ok() {
-                stage_expand().record_duration(start.elapsed());
-                span.set_attr("runs", expansion.runs.len());
-            }
-            result
-        };
-        match result {
-            Ok(()) => Ok(Self::from_expansion(expansion)),
-            Err(e) => Err((Self::from_expansion(expansion), e)),
-        }
-    }
-
-    pub(crate) fn extend_from_impl(
-        &self,
-        ma: &dyn MessageAdversary,
-        max_runs: usize,
-        threads: usize,
-    ) -> Result<Self, enumerate::BudgetExceeded> {
+        let threads = cfg.effective_threads();
         let mut expansion = self.expansion.clone();
         {
             let mut span = tracer()
@@ -226,123 +197,11 @@ impl PrefixSpace {
                 .with_attr("depth", expansion.depth + 1)
                 .with_attr("threads", threads);
             let start = Instant::now();
-            expansion.extend_with(ma, max_runs, threads)?;
+            expansion.extend_with(ma, cfg.max_runs, threads)?;
             stage_expand().record_duration(start.elapsed());
             span.set_attr("runs", expansion.runs.len());
         }
         Ok(Self::from_expansion(expansion))
-    }
-
-    /// Legacy positional form of [`expand`](Self::expand).
-    ///
-    /// # Errors
-    /// Returns [`enumerate::BudgetExceeded`] if the space exceeds
-    /// `max_runs`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `PrefixSpace::expand` with an `ExpandConfig`"
-    )]
-    pub fn build(
-        ma: &dyn MessageAdversary,
-        values: &[Value],
-        depth: usize,
-        max_runs: usize,
-    ) -> Result<Self, enumerate::BudgetExceeded> {
-        Self::build_impl(ma, values, depth, max_runs, 1)
-    }
-
-    /// Legacy positional form of [`expand`](Self::expand) with a thread
-    /// count.
-    ///
-    /// # Errors
-    /// Returns [`enumerate::BudgetExceeded`] if the space exceeds
-    /// `max_runs`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `PrefixSpace::expand` with an `ExpandConfig`"
-    )]
-    pub fn build_with(
-        ma: &dyn MessageAdversary,
-        values: &[Value],
-        depth: usize,
-        max_runs: usize,
-        threads: usize,
-    ) -> Result<Self, enumerate::BudgetExceeded> {
-        Self::build_impl(ma, values, depth, max_runs, threads)
-    }
-
-    /// Legacy positional form of [`extend`](Self::extend).
-    ///
-    /// # Errors
-    /// Returns `(self, BudgetExceeded)` if the extension would exceed
-    /// `max_runs`.
-    #[allow(clippy::result_large_err)]
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `PrefixSpace::extend` with an `ExpandConfig`"
-    )]
-    pub fn extended(
-        self,
-        ma: &dyn MessageAdversary,
-        max_runs: usize,
-    ) -> Result<Self, (Self, enumerate::BudgetExceeded)> {
-        self.extend_impl(ma, max_runs, 1)
-    }
-
-    /// Legacy positional form of [`extend`](Self::extend) with a thread
-    /// count.
-    ///
-    /// # Errors
-    /// Returns `(self, BudgetExceeded)` if the extension would exceed
-    /// `max_runs`.
-    #[allow(clippy::result_large_err)]
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `PrefixSpace::extend` with an `ExpandConfig`"
-    )]
-    pub fn extended_with(
-        self,
-        ma: &dyn MessageAdversary,
-        max_runs: usize,
-        threads: usize,
-    ) -> Result<Self, (Self, enumerate::BudgetExceeded)> {
-        self.extend_impl(ma, max_runs, threads)
-    }
-
-    /// Legacy positional form of [`extend_from`](Self::extend_from).
-    ///
-    /// # Errors
-    /// Returns [`enumerate::BudgetExceeded`] if the extension would exceed
-    /// `max_runs`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `PrefixSpace::extend_from` with an `ExpandConfig`"
-    )]
-    pub fn extended_from(
-        &self,
-        ma: &dyn MessageAdversary,
-        max_runs: usize,
-    ) -> Result<Self, enumerate::BudgetExceeded> {
-        self.extend_from_impl(ma, max_runs, 1)
-    }
-
-    /// Legacy positional form of [`extend_from`](Self::extend_from) with a
-    /// thread count.
-    ///
-    /// # Errors
-    /// Returns [`enumerate::BudgetExceeded`] if the extension would exceed
-    /// `max_runs`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `PrefixSpace::extend_from` with an `ExpandConfig`"
-    )]
-    pub fn extended_from_with(
-        &self,
-        ma: &dyn MessageAdversary,
-        max_runs: usize,
-        threads: usize,
-    ) -> Result<Self, enumerate::BudgetExceeded> {
-        self.extend_from_impl(ma, max_runs, threads)
     }
 
     /// Component-decompose an existing expansion.

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{mask, Pid, PidMask};
 
 /// Maximum supported number of processes.
@@ -34,7 +32,7 @@ pub const MAX_N: usize = 32;
 /// assert_eq!(g.out_degree(0), 1);
 /// assert_eq!(g.in_neighbors(2).collect::<Vec<_>>(), vec![1]);
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Digraph {
     n: usize,
     /// `out[p]` holds the bitmask of receivers of `p`'s message.

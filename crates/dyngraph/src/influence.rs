@@ -5,8 +5,6 @@
 //! of the paper's process-time graphs (§3). One [`InfluenceTracker::step`]
 //! per round applies the reflexive closure of the round graph.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{mask, Digraph, Pid, PidMask};
 
 /// Tracks which processes have (transitively) heard from which.
@@ -23,7 +21,7 @@ use crate::{mask, Digraph, Pid, PidMask};
 /// assert!(!t.has_broadcast(1)); // 1 never reached 0
 /// assert_eq!(t.heard_mask(2), 0b111);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InfluenceTracker {
     n: usize,
     /// `heard[q]` = processes whose initial state reached `q`.

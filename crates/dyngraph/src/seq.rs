@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{influence::InfluenceTracker, Digraph, Round};
 
 /// A finite prefix `(G_1, …, G_T)` of a communication-graph sequence.
@@ -16,7 +14,7 @@ use crate::{influence::InfluenceTracker, Digraph, Round};
 /// assert_eq!(seq.rounds(), 3);
 /// assert_eq!(seq.graph(3).arrow2().unwrap(), "<-");
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct GraphSeq {
     graphs: Vec<Digraph>,
 }
@@ -226,7 +224,7 @@ impl Extend<Digraph> for GraphSeq {
 /// let l = Lasso::constant(Digraph::parse2("->").unwrap());
 /// assert_eq!(l.graph_at(1), l.graph_at(100));
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Lasso {
     prefix: GraphSeq,
     cycle: GraphSeq,

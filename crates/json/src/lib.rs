@@ -4,8 +4,8 @@
 //! Grown inside `consensus-lab` for its result store, extracted here once
 //! the `consensus-serve` service needed to parse request bodies with the
 //! same codec (the lab re-exports this crate as `consensus_lab::json`, so
-//! existing paths keep working). The consumers need three properties the
-//! offline serde stand-in cannot give: key-order-preserving objects (so
+//! existing paths keep working). The consumers need three properties:
+//! key-order-preserving objects (so
 //! repeated sweeps emit *byte-identical* JSONL, which the determinism tests
 //! compare directly), exact `u64` round-trips for fingerprints (emitted as
 //! hex strings), and a parser to read result files and request bodies back.

@@ -79,7 +79,7 @@ pub struct CacheStats {
     /// expansion.
     pub builds: usize,
     /// Requests served by *laddering* — extending the deepest cached
-    /// ancestor space round-by-round via [`PrefixSpace::extended_from`]
+    /// ancestor space round-by-round via [`PrefixSpace::extend_from`]
     /// instead of re-expanding from scratch.
     pub ladder_hits: usize,
     /// Scenario outcomes answered from the on-disk verdict journal
@@ -246,15 +246,6 @@ impl SpaceCache {
     /// CPU for wall clock, never results.
     pub fn with_config(cfg: &ExpandConfig) -> Self {
         SpaceCache { threads: cfg.effective_threads(), ..Self::default() }
-    }
-
-    /// Legacy positional form of [`with_config`](Self::with_config).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `SpaceCache::with_config` with an `ExpandConfig`"
-    )]
-    pub fn with_threads(threads: usize) -> Self {
-        SpaceCache { threads, ..Self::default() }
     }
 
     /// The configured expansion worker count (`≤ 1` = serial).

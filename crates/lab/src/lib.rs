@@ -27,13 +27,13 @@
 //!   Definition 6.2's ε-approximation is the shared object). Misses with a
 //!   cached shallower space for the same *(fingerprint, domain)* are
 //!   served by the **depth ladder** — one-round
-//!   [`consensus_core::PrefixSpace::extended_from`] extensions instead of
+//!   [`consensus_core::PrefixSpace::extend_from`] extensions instead of
 //!   a from-scratch re-expansion;
 //! * [`persist`] — the on-disk [`persist::DiskCache`]: deterministic
 //!   verdicts (plus compact space digests) journaled to a salted cache
 //!   directory, so a second sweep in a *new process* answers warm
 //!   scenarios with zero expansions;
-//! * [`store`] — the serde-style result store: order-stable JSONL records
+//! * [`store`] — the result store: order-stable JSONL records
 //!   plus a CSV summary, with wall-time and state-space telemetry;
 //! * [`report`] — aggregation over stored results;
 //! * [`json`] — the dependency-free JSON encoder/parser backing the store.

@@ -122,17 +122,6 @@ impl SweepRunner {
         Self::default()
     }
 
-    /// Legacy knob for the worker-thread count; prefer driving sweeps
-    /// through a `Session` (its `workers` knob).
-    #[deprecated(
-        since = "0.1.0",
-        note = "drive sweeps through `Session` (see `session::Session`)"
-    )]
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
     pub(crate) fn workers(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self

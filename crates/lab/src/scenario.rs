@@ -7,7 +7,7 @@
 
 use std::fmt;
 
-use adversary::{catalog, spec::SpecTerm, DynMA, GeneralMA};
+use adversary::{catalog, spec::SpecTerm, DynMA};
 use consensus_core::error::{Error, SpecError};
 use dyngraph::Digraph;
 
@@ -73,39 +73,15 @@ impl fmt::Display for AnalysisKind {
     }
 }
 
-/// How the scenario's adversary is obtained.
+/// How the scenario's adversary is obtained: a term of the compositional
+/// spec language ([`adversary::spec`]).
 ///
-/// Since the spec-language redesign this is a thin wrapper around
-/// [`SpecTerm`]: construct via [`AdversarySpec::parse`] (the shared string
-/// language used by the CLI's `--spec`, the HTTP API's `"spec"` field, and
+/// Construct via [`AdversarySpec::parse`] (the shared string language used
+/// by the CLI's `--spec`, the HTTP API's `"spec"` field, and
 /// `/v1/catalog`'s canonical strings), or [`AdversarySpec::catalog`] /
-/// [`AdversarySpec::pool`] for the two historical shapes. The `Catalog` and
-/// `Pool` enum variants survive as deprecated shims for pre-redesign
-/// callers.
+/// [`AdversarySpec::pool`] for the two historical shapes.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AdversarySpec {
-    /// A named entry of [`adversary::catalog::entries`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "use AdversarySpec::parse or AdversarySpec::catalog"
-    )]
-    Catalog(String),
-    /// An oblivious `n = 2` adversary over parsed arrow tokens
-    /// (`"-> <- <->"`), optionally with an eventually-occurs liveness.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use AdversarySpec::parse or AdversarySpec::pool"
-    )]
-    Pool {
-        /// Whitespace-separated 2-process graph tokens.
-        word: String,
-        /// Liveness: `Some((target_token, deadline))` for "`target` occurs
-        /// (within `deadline`)".
-        eventually: Option<(String, Option<usize>)>,
-    },
-    /// A term of the compositional spec language ([`adversary::spec`]).
-    Term(SpecTerm),
-}
+pub struct AdversarySpec(SpecTerm);
 
 impl AdversarySpec {
     /// Parse a spec string (`"catalog(sw-lossy-link)"`,
@@ -115,115 +91,62 @@ impl AdversarySpec {
     /// Returns [`Error::Spec`] with [`SpecError::Parse`] locating the
     /// first malformed byte.
     pub fn parse(input: &str) -> Result<Self, Error> {
-        Ok(AdversarySpec::Term(SpecTerm::parse(input)?))
+        Ok(AdversarySpec(SpecTerm::parse(input)?))
     }
 
     /// The spec selecting catalog entry `name` (checked at
     /// [`build`](Self::build) time, like every other term).
     pub fn catalog(name: impl Into<String>) -> Self {
-        AdversarySpec::Term(SpecTerm::Catalog(name.into()))
+        AdversarySpec(SpecTerm::Catalog(name.into()))
     }
 
     /// The historical pool shape as a term: an oblivious adversary over
     /// whitespace-separated arrow tokens, optionally with an
     /// eventually-occurs liveness — the lowering shared by the CLI's
     /// `--pool/--eventually/--by` flags and the HTTP API's compat aliases.
-    ///
-    /// One **intentional tightening** over the deprecated
-    /// [`AdversarySpec::Pool`] variant: a liveness target absent from the
-    /// pool is rejected at [`build`](Self::build) time (the shared
-    /// `eventually(pool, target)` rule), where the legacy variant silently
-    /// produced a *vacuous* adversary admitting no sequence at all, so its
-    /// verdicts were degenerate. Alias callers hitting this edge now get a
-    /// typed [`Error::Spec`] (HTTP 400) instead of a misleading answer.
+    /// A liveness target absent from the pool is rejected at
+    /// [`build`](Self::build) time (the shared `eventually(pool, target)`
+    /// rule) with a typed [`Error::Spec`] (HTTP 400).
     ///
     /// # Errors
-    /// Returns [`Error::Spec`] for unparsable tokens or an empty word
-    /// (the legacy `BadGraph`/`EmptyPool` shapes).
+    /// Returns [`Error::Spec`] for unparsable tokens or an empty word.
     pub fn pool(word: &str, eventually: Option<(&str, Option<usize>)>) -> Result<Self, Error> {
         let pool = parse_pool(word)?;
         let term = match eventually {
             None => SpecTerm::Pool(pool),
             Some((target, by)) => SpecTerm::Eventually { pool, target: parse_graph(target)?, by },
         };
-        Ok(AdversarySpec::Term(term.normalize()))
+        Ok(AdversarySpec(term.normalize()))
     }
 
-    /// The spec as a term of the shared language (legacy variants lower on
-    /// the fly).
-    ///
-    /// # Errors
-    /// Returns [`Error::Spec`] when a legacy `Pool` variant's tokens do not
-    /// parse.
-    #[allow(deprecated)]
-    pub fn term(&self) -> Result<SpecTerm, Error> {
-        match self {
-            AdversarySpec::Catalog(name) => Ok(SpecTerm::Catalog(name.clone())),
-            AdversarySpec::Pool { word, eventually } => {
-                let pool = parse_pool(word)?;
-                Ok(match eventually {
-                    None => SpecTerm::Pool(pool),
-                    Some((target, by)) => {
-                        SpecTerm::Eventually { pool, target: parse_graph(target)?, by: *by }
-                    }
-                }
-                .normalize())
-            }
-            AdversarySpec::Term(term) => Ok(term.clone()),
-        }
+    /// The spec as a term of the shared language.
+    pub fn term(&self) -> &SpecTerm {
+        &self.0
     }
 
     /// Construct the adversary.
     ///
     /// # Errors
-    /// Returns [`Error::Spec`] for unknown catalog names, unparsable
-    /// pools, and terms that lower to no valid adversary.
-    #[allow(deprecated)]
+    /// Returns [`Error::Spec`] for unknown catalog names and terms that
+    /// lower to no valid adversary.
     pub fn build(&self) -> Result<DynMA, Error> {
-        match self {
-            // The legacy Pool path keeps its historical semantics (the
-            // liveness target is not required to sit in the pool).
-            AdversarySpec::Pool { word, eventually } => {
-                let pool = parse_pool(word)?;
-                match eventually {
-                    None => Ok(Box::new(GeneralMA::oblivious(pool))),
-                    Some((target, deadline)) => {
-                        let target = parse_graph(target)?;
-                        Ok(Box::new(GeneralMA::eventually_graph(pool, target, *deadline)))
-                    }
-                }
-            }
-            _ => Ok(self.term()?.lower()?),
-        }
+        Ok(self.0.lower()?)
     }
 
     /// The display label used in result records: the catalog name for
     /// catalog specs (so sweep resume and report grouping stay stable),
-    /// otherwise the canonical spec string. Legacy variants keep their
-    /// historical labels.
-    #[allow(deprecated)]
+    /// otherwise the canonical spec string.
     pub fn label(&self) -> String {
-        match self {
-            AdversarySpec::Catalog(name) => name.clone(),
-            AdversarySpec::Pool { word, eventually: None } => format!("pool({word})"),
-            AdversarySpec::Pool { word, eventually: Some((t, None)) } => {
-                format!("pool({word}) ◇{t}")
-            }
-            AdversarySpec::Pool { word, eventually: Some((t, Some(r))) } => {
-                format!("pool({word}) {t} by {r}")
-            }
-            AdversarySpec::Term(SpecTerm::Catalog(name)) => name.clone(),
-            AdversarySpec::Term(term) => term.to_string(),
+        match &self.0 {
+            SpecTerm::Catalog(name) => name.clone(),
+            term => term.to_string(),
         }
     }
 
     /// The ground-truth checker outcome, where known (catalog entries only).
-    #[allow(deprecated)]
     pub fn expected(&self) -> Option<catalog::ExpectedOutcome> {
-        match self {
-            AdversarySpec::Catalog(name) | AdversarySpec::Term(SpecTerm::Catalog(name)) => {
-                catalog::by_name(name).map(|e| e.expected)
-            }
+        match &self.0 {
+            SpecTerm::Catalog(name) => catalog::by_name(name).map(|e| e.expected),
             _ => None,
         }
     }
@@ -413,6 +336,9 @@ mod tests {
         let nc = AdversarySpec::pool("-> <- <->", Some(("<->", None))).unwrap();
         assert!(!nc.build().unwrap().is_compact());
         assert_eq!(nc.label(), "eventually(<- -> <->, <->)");
+        // The pool shape and its spec string share one fingerprint.
+        let term = AdversarySpec::parse("eventually(-> <- <->, <->)").unwrap().build().unwrap();
+        assert_eq!(nc.build().unwrap().fingerprint(), term.fingerprint());
     }
 
     #[test]
@@ -429,52 +355,19 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_variants_keep_their_behavior() {
-        // Pre-redesign construction sites compile (with a warning) and
-        // produce the historical labels and adversaries.
-        let spec = AdversarySpec::Catalog("sw-lossy-link".to_string());
-        assert_eq!(spec.label(), "sw-lossy-link");
-        assert_eq!(spec.expected(), Some(None));
-        let spec = AdversarySpec::Pool {
-            word: "-> <- <->".to_string(),
-            eventually: Some(("<->".to_string(), None)),
-        };
-        assert_eq!(spec.label(), "pool(-> <- <->) ◇<->");
-        // ... and share fingerprints with the term path.
-        let legacy = spec.build().unwrap();
-        let term = AdversarySpec::parse("eventually(-> <- <->, <->)").unwrap().build().unwrap();
-        assert_eq!(legacy.fingerprint(), term.fingerprint());
-    }
-
-    #[test]
-    #[allow(deprecated)]
     fn pool_rejects_liveness_target_outside_the_pool() {
-        // The documented tightening over the legacy Pool variant: the
-        // shared lowering refuses a target the pool can never produce,
-        // where the deprecated path built a vacuous adversary that admits
-        // no sequence at all.
+        // The shared lowering refuses a target the pool can never produce.
         let spec = AdversarySpec::pool("-> <-", Some(("<->", None))).unwrap();
         let err = match spec.build() {
             Err(e) => e,
             Ok(_) => panic!("a target outside the pool must not build"),
         };
         assert!(err.to_string().contains("not in the pool"), "{err}");
-        use adversary::MessageAdversary;
-        let legacy = AdversarySpec::Pool {
-            word: "-> <-".to_string(),
-            eventually: Some(("<->".to_string(), None)),
-        };
-        let ma = legacy.build().unwrap();
-        assert!(ma.extensions(&dyngraph::GraphSeq::new()).is_empty());
     }
 
     #[test]
-    #[allow(deprecated)]
     fn bad_pool_rejected() {
         for word in ["", "xx", "-> zz"] {
-            let spec = AdversarySpec::Pool { word: word.to_string(), eventually: None };
-            assert!(spec.build().is_err(), "{word:?} should fail");
             assert!(AdversarySpec::pool(word, None).is_err(), "{word:?} should fail");
         }
     }

@@ -15,12 +15,11 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 use dyngraph::{Digraph, GraphSeq, Pid, Round};
-use serde::{Deserialize, Serialize};
 
 use crate::{Inputs, Value};
 
 /// A node `(p, t)` of a process-time graph; at `t = 0` it carries the input.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PtNode {
     /// The process.
     pub process: Pid,
@@ -44,7 +43,7 @@ impl fmt::Display for PtNode {
 /// assert!(pt.has_edge((0, 0), (1, 1)));     // round 1 is →
 /// assert!(pt.has_edge((1, 1), (0, 2)));     // round 2 is ←
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PtGraph {
     inputs: Inputs,
     seq: GraphSeq,

@@ -35,7 +35,6 @@ use std::fmt;
 use std::sync::Arc;
 
 use dyngraph::{mask, Digraph, Pid, PidMask};
-use serde::{Deserialize, Serialize};
 
 use crate::Value;
 
@@ -45,7 +44,7 @@ pub const MAX_VIEW_N: usize = 8;
 
 /// An interned view handle. Equal ids ⟺ identical causal pasts (within one
 /// [`ViewTable`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ViewId(u32);
 
 impl ViewId {

@@ -1,12 +1,11 @@
 //! Hand-rolled HTTP/1.1 framing over blocking byte streams.
 //!
 //! The build environment is registry-less, so there is no hyper/tokio to
-//! lean on — exactly as `crates/compat` hand-rolled the serde surface, this
-//! module hand-rolls the small, strict slice of HTTP/1.1 the service
-//! needs: request-line + header parsing, `Content-Length`-framed bodies,
-//! and keep-alive negotiation. Everything outside that slice (chunked
-//! transfer coding, upgrades, trailers) is rejected loudly with a `4xx`
-//! rather than half-supported.
+//! lean on; this module hand-rolls the small, strict slice of HTTP/1.1 the
+//! service needs: request-line + header parsing, `Content-Length`-framed
+//! bodies, and keep-alive negotiation. Everything outside that slice
+//! (chunked transfer coding, upgrades, trailers) is rejected loudly with a
+//! `4xx` rather than half-supported.
 
 use std::fmt;
 use std::io::{self, BufRead, Write};

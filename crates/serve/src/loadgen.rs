@@ -24,7 +24,7 @@ use std::time::Instant;
 
 use consensus_obs::metrics::Histogram;
 
-use consensus_lab::scenario::{AdversarySpec, AnalysisKind};
+use consensus_lab::scenario::AnalysisKind;
 use consensus_lab::session::{Query, Session};
 use json::Value;
 
@@ -117,11 +117,9 @@ fn quantile_ms(hist: &Histogram, q: f64) -> f64 {
 fn check_body(query: &Query) -> Value {
     // Catalog terms go through the "adversary" alias (the hot production
     // shape); anything else is sent as its canonical spec string.
-    let spec_field = match &query.spec {
-        AdversarySpec::Term(adversary::SpecTerm::Catalog(name)) => {
-            ("adversary".to_string(), Value::Str(name.clone()))
-        }
-        other => ("spec".to_string(), Value::Str(other.label())),
+    let spec_field = match query.spec.term() {
+        adversary::SpecTerm::Catalog(name) => ("adversary".to_string(), Value::Str(name.clone())),
+        _ => ("spec".to_string(), Value::Str(query.spec.label())),
     };
     Value::Obj(vec![
         spec_field,

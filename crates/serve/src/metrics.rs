@@ -1,6 +1,6 @@
-//! Per-process service telemetry: request counters, latency histograms
-//! (a legacy fixed-bucket one plus per-endpoint log-bucketed
-//! [`consensus_obs`] histograms), and connection counters — everything
+//! Per-process service telemetry: request counters, per-endpoint
+//! log-bucketed [`consensus_obs`] latency histograms, and connection
+//! counters — everything
 //! `GET /metrics` exposes beyond the cache counters it reads from the
 //! shared [`Session`](consensus_lab::session::Session).
 //!
@@ -8,7 +8,7 @@
 //! with a handful of relaxed increments and readers never contend with
 //! workers.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use consensus_obs::metrics::Histogram;
@@ -68,12 +68,6 @@ impl Endpoint {
     }
 }
 
-/// Upper bucket bounds of the legacy fixed-bucket latency histogram, in
-/// milliseconds; an implicit overflow bucket catches everything beyond
-/// the last bound.
-pub const LATENCY_BOUNDS_MS: [f64; 10] =
-    [0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 1000.0];
-
 /// The percentiles reported per endpoint, as `(json key, quantile)`.
 const ENDPOINT_QUANTILES: [(&str, f64); 3] = [("p50_ms", 0.5), ("p90_ms", 0.9), ("p99_ms", 0.99)];
 
@@ -90,10 +84,6 @@ pub struct Metrics {
     not_found: AtomicUsize,
     errors_4xx: AtomicUsize,
     errors_5xx: AtomicUsize,
-    buckets: [AtomicUsize; LATENCY_BOUNDS_MS.len() + 1],
-    latency_count: AtomicUsize,
-    latency_total_ns: AtomicU64,
-    latency_max_ns: AtomicU64,
 }
 
 impl Default for Metrics {
@@ -114,10 +104,6 @@ impl Metrics {
             not_found: AtomicUsize::new(0),
             errors_4xx: AtomicUsize::new(0),
             errors_5xx: AtomicUsize::new(0),
-            buckets: Default::default(),
-            latency_count: AtomicUsize::new(0),
-            latency_total_ns: AtomicU64::new(0),
-            latency_max_ns: AtomicU64::new(0),
         }
     }
 
@@ -150,21 +136,12 @@ impl Metrics {
         } else if status >= 500 {
             self.errors_5xx.fetch_add(1, Ordering::Relaxed);
         }
-        let ms = elapsed.as_secs_f64() * 1e3;
-        let bucket = LATENCY_BOUNDS_MS
-            .iter()
-            .position(|bound| ms <= *bound)
-            .unwrap_or(LATENCY_BOUNDS_MS.len());
-        self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
-        self.latency_count.fetch_add(1, Ordering::Relaxed);
-        let ns = elapsed.as_nanos().min(u128::from(u64::MAX)) as u64;
-        self.latency_total_ns.fetch_add(ns, Ordering::Relaxed);
-        self.latency_max_ns.fetch_max(ns, Ordering::Relaxed);
     }
 
     /// Total requests recorded (routed plus unrouted).
     pub fn requests_total(&self) -> usize {
-        self.latency_count.load(Ordering::Relaxed)
+        self.by_endpoint.iter().map(|c| c.load(Ordering::Relaxed)).sum::<usize>()
+            + self.not_found.load(Ordering::Relaxed)
     }
 
     /// Milliseconds since the metrics (≈ the server) started.
@@ -191,8 +168,8 @@ impl Metrics {
             .collect()
     }
 
-    /// The `connections`/`requests`/`endpoints`/`latency_ms` blocks of
-    /// the metrics payload (the cache blocks are appended by the API
+    /// The `connections`/`requests`/`endpoints` blocks of the metrics
+    /// payload (the cache blocks are appended by the API
     /// layer, which owns the `Session`). Key order is fixed — two
     /// serializations of the same counters are byte-identical.
     pub fn to_json(&self) -> Vec<(String, Value)> {
@@ -211,26 +188,6 @@ impl Metrics {
         requests.push(("errors".into(), Value::Int((errors_4xx + errors_5xx) as i64)));
         requests.push(("errors_4xx".into(), Value::Int(errors_4xx as i64)));
         requests.push(("errors_5xx".into(), Value::Int(errors_5xx as i64)));
-
-        let mut buckets = Vec::with_capacity(self.buckets.len());
-        for (i, count) in self.buckets.iter().enumerate() {
-            buckets.push(Value::Obj(vec![
-                (
-                    "le".into(),
-                    // The overflow bucket has no upper bound.
-                    LATENCY_BOUNDS_MS.get(i).map_or(Value::Null, |b| Value::Float(*b)),
-                ),
-                ("count".into(), Value::Int(count.load(Ordering::Relaxed) as i64)),
-            ]));
-        }
-        let total_ns = self.latency_total_ns.load(Ordering::Relaxed);
-        let max_ns = self.latency_max_ns.load(Ordering::Relaxed);
-        let latency = Value::Obj(vec![
-            ("count".into(), Value::Int(self.latency_count.load(Ordering::Relaxed) as i64)),
-            ("total".into(), Value::Float(round_ms(total_ns))),
-            ("max".into(), Value::Float(round_ms(max_ns))),
-            ("buckets".into(), Value::Arr(buckets)),
-        ]);
         vec![
             ("uptime_ms".into(), Value::Float(round3(self.uptime_ms()))),
             (
@@ -242,7 +199,6 @@ impl Metrics {
             ),
             ("requests".into(), Value::Obj(requests)),
             ("endpoints".into(), Value::Obj(self.endpoints_json())),
-            ("latency_ms".into(), latency),
         ]
     }
 
@@ -388,22 +344,16 @@ mod tests {
         assert_eq!(requests.get_usize("errors_4xx"), Some(2));
         assert_eq!(requests.get_usize("errors_5xx"), Some(1));
         assert_eq!(requests.get_usize("errors"), Some(3));
+        // `total` is derived: the routed counts plus `not_found`.
+        let routed: usize =
+            Endpoint::ALL.iter().map(|e| requests.get_usize(e.name()).unwrap()).sum();
+        assert_eq!(
+            requests.get_usize("total"),
+            Some(routed + requests.get_usize("not_found").unwrap())
+        );
         let connections = fields.get("connections").unwrap();
         assert_eq!(connections.get_usize("accepted"), Some(1));
         assert_eq!(connections.get_usize("active"), Some(0), "guard must decrement");
-        let latency = fields.get("latency_ms").unwrap();
-        assert_eq!(latency.get_usize("count"), Some(4));
-        let Some(Value::Arr(buckets)) = latency.get("buckets") else {
-            panic!("buckets must be an array");
-        };
-        assert_eq!(buckets.len(), LATENCY_BOUNDS_MS.len() + 1);
-        let counted: usize = buckets.iter().map(|b| b.get_usize("count").unwrap()).sum();
-        assert_eq!(counted, 4, "every request lands in exactly one bucket");
-        // 0.3 ms → the 0.5 bucket; 1 ms → 1.0; 3 ms → 5.0; 30 ms → 50.0.
-        assert_eq!(buckets[1].get_usize("count"), Some(1));
-        assert_eq!(buckets[2].get_usize("count"), Some(1));
-        assert_eq!(buckets[4].get_usize("count"), Some(1));
-        assert_eq!(buckets[7].get_usize("count"), Some(1));
     }
 
     #[test]
@@ -437,6 +387,7 @@ mod tests {
         };
         let a = m.to_json();
         let b = m.to_json();
+        assert_eq!(keys(&a), ["uptime_ms", "connections", "requests", "endpoints"]);
         assert_eq!(keys(&a), keys(&b));
         // The serialized bodies agree byte-for-byte except uptime.
         let strip = |fields: Vec<(String, Value)>| {

@@ -93,9 +93,7 @@ impl fmt::Display for Violation {
     }
 }
 
-/// Typed configuration of an exhaustive consensus check — the replacement
-/// for the positional `(depth, max_runs, require_termination,
-/// strong_validity)` tail of the legacy `check_consensus*` family.
+/// Typed configuration of an exhaustive consensus check.
 ///
 /// ```
 /// use simulator::checker::CheckConfig;
@@ -222,49 +220,6 @@ pub fn check<A: Algorithm>(
     Ok(report)
 }
 
-/// Legacy positional form of [`check`].
-///
-/// # Errors
-/// Returns [`enumerate::BudgetExceeded`] if the prefix space exceeds
-/// `max_runs`.
-#[deprecated(since = "0.1.0", note = "use `checker::check` with a `CheckConfig`")]
-pub fn check_consensus<A: Algorithm>(
-    alg: &A,
-    ma: &dyn MessageAdversary,
-    values: &[Value],
-    depth: usize,
-    max_runs: usize,
-    require_termination: bool,
-) -> Result<CheckReport, enumerate::BudgetExceeded> {
-    check(
-        alg,
-        ma,
-        values,
-        &CheckConfig::at_depth(depth)
-            .max_runs(max_runs)
-            .require_termination(require_termination),
-    )
-}
-
-/// Legacy positional form of [`check`] with a strong-validity flag.
-///
-/// # Errors
-/// Returns [`enumerate::BudgetExceeded`] if the prefix space exceeds
-/// `max_runs`.
-#[allow(clippy::too_many_arguments)]
-#[deprecated(since = "0.1.0", note = "use `checker::check` with a `CheckConfig`")]
-pub fn check_consensus_with<A: Algorithm>(
-    alg: &A,
-    ma: &dyn MessageAdversary,
-    values: &[Value],
-    depth: usize,
-    max_runs: usize,
-    require_termination: bool,
-    strong_validity: bool,
-) -> Result<CheckReport, enumerate::BudgetExceeded> {
-    check(alg, ma, values, &CheckConfig { depth, max_runs, require_termination, strong_validity })
-}
-
 /// Parallel variant of [`check`]: the `(inputs, sequence)` grid is split
 /// across `threads` scoped workers. Requires the algorithm to be [`Sync`]
 /// (the synthesized universal algorithm is: its interner sits behind a
@@ -343,37 +298,6 @@ where
     }
     report.violations.sort_by_key(|v| format!("{v}"));
     Ok(report)
-}
-
-/// Legacy positional form of [`check_parallel`].
-///
-/// # Errors
-/// Returns [`enumerate::BudgetExceeded`] as for [`check`].
-#[allow(clippy::too_many_arguments)]
-#[deprecated(
-    since = "0.1.0",
-    note = "use `checker::check_parallel` with a `CheckConfig`"
-)]
-pub fn check_consensus_parallel<A>(
-    alg: &A,
-    ma: &(dyn MessageAdversary + Sync),
-    values: &[Value],
-    depth: usize,
-    max_runs: usize,
-    require_termination: bool,
-    strong_validity: bool,
-    threads: usize,
-) -> Result<CheckReport, enumerate::BudgetExceeded>
-where
-    A: Algorithm + Sync,
-{
-    check_parallel(
-        alg,
-        ma,
-        values,
-        &CheckConfig { depth, max_runs, require_termination, strong_validity },
-        threads,
-    )
 }
 
 /// Check one `(inputs, sequence)` cell; shared by the sequential and

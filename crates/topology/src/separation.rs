@@ -7,12 +7,10 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::Components;
 
 /// The labeling outcome of one component.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ComponentLabel<L> {
     /// No labeled point in the component (free to assign any value —
     /// meta-procedure step 3).
@@ -60,7 +58,7 @@ pub fn label_components<L: Clone + Eq + std::hash::Hash>(
 }
 
 /// The separation verdict for a labeled component partition.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SeparationReport<L> {
     /// Component ids whose labels are mixed.
     pub mixed_components: Vec<usize>,
