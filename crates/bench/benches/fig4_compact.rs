@@ -4,11 +4,14 @@
 //! Regenerates the Fig. 4 datum — for a solvable compact adversary the
 //! decision classes are separated with positive distance; prints the first
 //! separating ε (Theorem 6.6) — and measures the prefix-space expansion +
-//! component computation as depth grows.
+//! component computation as depth grows, and the component-stats report
+//! built on top of it.
 
+use adversary::GeneralMA;
 use benches::{full_lossy_link, reduced_lossy_link, stars3};
 use consensus_core::{analysis, space::PrefixSpace, ExpandConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use dyngraph::generators;
 use std::hint::black_box;
 
 fn bench_fig4(c: &mut Criterion) {
@@ -62,6 +65,25 @@ fn bench_fig4(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("stars3", depth), &space, |b, space| {
             b.iter(|| black_box(consensus_core::broadcast::broadcast_report(space)))
         });
+    }
+    group.finish();
+
+    // The component-stats report on prebuilt spaces: components, valences,
+    // broadcasters and the class distance between PS^ε(0) and PS^ε(1). On
+    // both adversaries every run sits in one mixed component, so each class
+    // is the whole space: (4·3^d)² resp. (4·4^d)² run pairs at depth d.
+    let mut group = c.benchmark_group("fig4/report");
+    group.sample_size(10);
+    let all_graphs_2 = GeneralMA::oblivious(generators::all_graphs(2).collect());
+    for depth in [4usize, 6] {
+        for (name, ma) in [("full", full_lossy_link()), ("all-graphs-2", all_graphs_2.clone())] {
+            let space =
+                PrefixSpace::expand(&ma, &[0, 1], depth, &ExpandConfig::with_budget(10_000_000))
+                    .unwrap();
+            group.bench_with_input(BenchmarkId::new(name, depth), &space, |b, space| {
+                b.iter(|| black_box(analysis::report(space)))
+            });
+        }
     }
     group.finish();
 }

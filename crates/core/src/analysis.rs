@@ -123,42 +123,41 @@ pub fn report(space: &PrefixSpace) -> SpaceReport {
     // Distance between the decision classes PS^ε(v): the union of
     // components containing a v-valent run (Definition 6.2). Touching
     // classes (a mixed component) register as Below(depth).
-    let mut min_class_distance: Option<distance::Distance> = None;
-    let values: Vec<Value> = space.values().to_vec();
-    let class_runs = |v: Value| -> Vec<RunRef<'_>> {
-        let comp_ids: BTreeSet<usize> = space
-            .runs()
-            .iter()
-            .filter(|r| r.is_valent(v))
-            .map(|r| comps.component_of(r.index()))
-            .collect();
-        space
-            .runs()
-            .iter()
-            .filter(|r| comp_ids.contains(&comps.component_of(r.index())))
-            .collect()
-    };
-    for (i, &v) in values.iter().enumerate() {
-        for &w in &values[i + 1..] {
-            let vs = class_runs(v);
-            let ws = class_runs(w);
-            if let Some(d) = distance::set_distance_min(&vs, &ws) {
-                min_class_distance = Some(match min_class_distance {
-                    None => d,
-                    Some(cur) => cur.min(d),
-                });
-            }
-        }
-    }
+    let classes = decision_classes(space, &components);
+    let min_class_distance = classes
+        .iter()
+        .enumerate()
+        .flat_map(|(i, vs)| {
+            classes[i + 1..].iter().filter_map(move |ws| distance::set_distance_min(vs, ws))
+        })
+        .min();
 
     SpaceReport {
         depth: space.depth(),
         run_count: space.runs().len(),
         view_count: space.table().len(),
+        // Corollary 5.6 at this resolution: no component mixes valences.
+        separated: !components.iter().any(ComponentStats::is_mixed),
         components,
         min_class_distance,
-        separated: space.separation().is_separated(),
     }
+}
+
+/// The runs of each decision class `PS^ε(v)`, in domain order: the runs of
+/// every component whose valences include `v`.
+fn decision_classes<'s>(
+    space: &'s PrefixSpace,
+    components: &[ComponentStats],
+) -> Vec<Vec<RunRef<'s>>> {
+    let comps = space.components();
+    space
+        .values()
+        .iter()
+        .map(|v| {
+            let member: Vec<bool> = components.iter().map(|c| c.valences.contains(v)).collect();
+            space.runs().iter().filter(|r| member[comps.component_of(r.index())]).collect()
+        })
+        .collect()
 }
 
 /// Reports across a depth sweep — the raw series for the Figure 4/5
@@ -184,10 +183,13 @@ pub fn depth_sweep(
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
+
     use super::*;
-    use adversary::GeneralMA;
+    use adversary::{catalog, GeneralMA};
     use dyngraph::{generators, Digraph};
     use ptgraph::distance::Distance;
+    use ptgraph::RunViews;
 
     use crate::config::ExpandConfig;
 
@@ -253,6 +255,50 @@ mod tests {
         let ma = GeneralMA::oblivious(generators::lossy_link_full());
         let sweep = depth_sweep(&ma, &[0, 1], 10, 500);
         assert!(sweep.len() < 11, "budget must cut the sweep");
+    }
+
+    /// A run handle that counts its view reads.
+    struct Counted<'a> {
+        run: RunRef<'a>,
+        reads: &'a Cell<usize>,
+    }
+
+    impl RunViews for Counted<'_> {
+        fn n(&self) -> usize {
+            self.run.n()
+        }
+
+        fn rounds(&self) -> usize {
+            self.run.rounds()
+        }
+
+        fn view(&self, p: dyngraph::Pid, t: usize) -> ptgraph::ViewId {
+            self.reads.set(self.reads.get() + 1);
+            self.run.view(p, t)
+        }
+    }
+
+    #[test]
+    fn class_distance_reads_each_run_a_bounded_number_of_times() {
+        // message-loss-2-2 at depth 5 is one component, so both decision
+        // classes are the whole space: the pairwise definition compares
+        // 4096 × 4096 runs. The set distance must read each run's views at
+        // most n · (T + 2) times instead.
+        let space = PrefixSpace::expand(&catalog::message_loss(2, 2), &[0, 1], 5, &CFG).unwrap();
+        let rep = report(&space);
+        let classes = decision_classes(&space, &rep.components);
+        let (zeros, ones) = (&classes[0], &classes[1]);
+        assert_eq!((zeros.len(), ones.len()), (4096, 4096));
+        let reads = Cell::new(0);
+        fn count<'a>(class: &[RunRef<'a>], reads: &'a Cell<usize>) -> Vec<Counted<'a>> {
+            class.iter().map(|&run| Counted { run, reads }).collect()
+        }
+        let d = distance::set_distance_min(&count(zeros, &reads), &count(ones, &reads));
+        assert_eq!(d, rep.min_class_distance);
+        assert_eq!(d, Some(Distance::Below(5)));
+        let bound = (zeros.len() + ones.len()) * space.n() * (space.depth() + 2);
+        assert!(reads.get() <= bound, "{} view reads, bound {bound}", reads.get());
+        assert!(bound < zeros.len() * ones.len());
     }
 
     #[test]

@@ -16,9 +16,12 @@
 //! [`PrefixRun`]s and the run handles of an expansion share one
 //! implementation.
 
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
 use dyngraph::Pid;
 
-use crate::{PrefixRun, RunViews, ViewTable};
+use crate::{PrefixRun, RunViews, ViewId, ViewTable};
 
 /// An exact dyadic distance value; see the module docs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -163,21 +166,125 @@ pub fn diameter_min<R: RunViews>(runs: &[R]) -> Option<Distance> {
     best
 }
 
-/// The set distance `d_min(A, B) = inf {d_min(a,b)}` (paper Definition
-/// 5.12). Returns `None` if either set is empty.
+/// The set distance `d_min(A, B) = inf {d_min(a,b) : a ∈ A, b ∈ B}` (paper
+/// Definition 5.12). Returns `None` if either set is empty.
+///
+/// The value equals the pairwise minimum of [`d_min`] under [`Distance`]'s
+/// order, but no pair is compared:
+///
+/// * `d_min = min_p d_{p}`, so the set distance is
+///   `min_p min_{a,b} d_{p}(a, b)`; each process is solved on its own.
+/// * For one process `p`, let `agree(t)` say that some `a ∈ A` and `b ∈ B`,
+///   both at least `t` rounds long, have equal `p`-views at time `t`. Views
+///   are cumulative, so `agree` holds for every `t` up to some `T_p` and for
+///   none after, and a binary search over `t ∈ [0, H]` finds `T_p`. Here
+///   `H` is the smaller of the two sets' longest horizons; no pair is
+///   longer. One probe interns `A`'s views at `t` in a hash map and looks
+///   up `B`'s, in `O(|A| + |B|)`.
+/// * The closest pair for `p` then gives `Finite(0)` if `agree(0)` fails;
+///   `Finite(T_p + 1)` if some pair agreeing at `T_p` is longer than `T_p`
+///   on both sides (it must diverge at `T_p + 1`); and `Below(T_p)`
+///   otherwise, since every agreeing pair ends at its common horizon
+///   `T_p`. Every other pair diverges, or ends, earlier.
+///
+/// Runs of different lengths are compared over their common horizon, as in
+/// [`d_p`]. The cost is `O((|A| + |B|) · n · log H)` view reads, against
+/// `O(|A| · |B| · n · log H)` for the pairwise definition.
+///
+/// # Panics
+/// Panics if the two sets disagree on `n`.
 pub fn set_distance_min<R: RunViews>(xs: &[R], ys: &[R]) -> Option<Distance> {
-    let mut best: Option<Distance> = None;
-    for a in xs {
-        for b in ys {
-            let d = d_min(a, b);
-            best = Some(match best {
-                None => d,
-                Some(cur) => cur.min(d),
-            });
+    // Intern the smaller set; the result is symmetric in the two sets.
+    let (xs, ys) = if xs.len() <= ys.len() {
+        (xs, ys)
+    } else {
+        (ys, xs)
+    };
+    let (Some(a), Some(b)) = (xs.first(), ys.first()) else {
+        return None;
+    };
+    let n = a.n();
+    assert_eq!(n, b.n(), "runs must have the same number of processes");
+    let longest = |runs: &[R]| runs.iter().map(RunViews::rounds).max().unwrap_or(0);
+    let horizon = longest(xs).min(longest(ys));
+    let mut seen = ViewMap::default();
+    (0..n).map(|p| closest_p(xs, ys, p, horizon, &mut seen)).min()
+}
+
+/// `min_{a,b} d_{p}(a, b)` over two nonempty sets in which no pair is more
+/// than `horizon` rounds long on both sides; see [`set_distance_min`].
+fn closest_p<R: RunViews>(
+    xs: &[R],
+    ys: &[R],
+    p: Pid,
+    horizon: usize,
+    seen: &mut ViewMap,
+) -> Distance {
+    let Some(mut longer) = agree_at(xs, ys, p, 0, seen) else {
+        return Distance::Finite(0);
+    };
+    // Invariant: `agree(lo)` holds (and `longer` is its probe), and
+    // `agree(hi)` fails or `hi` is past the horizon.
+    let (mut lo, mut hi) = (0, horizon + 1);
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        match agree_at(xs, ys, p, mid, seen) {
+            Some(l) => (lo, longer) = (mid, l),
+            None => hi = mid,
         }
     }
-    best
+    if longer {
+        Distance::Finite(lo + 1)
+    } else {
+        Distance::Below(lo)
+    }
 }
+
+/// One probe of [`set_distance_min`]'s search: whether some `a ∈ xs` and
+/// `b ∈ ys`, both at least `t` rounds long, share `p`'s view at time `t`.
+/// `Some(true)` if such a pair is longer than `t` on both sides,
+/// `Some(false)` if every agreeing pair ends at `t`, `None` if no pair
+/// agrees.
+fn agree_at<R: RunViews>(xs: &[R], ys: &[R], p: Pid, t: usize, seen: &mut ViewMap) -> Option<bool> {
+    // View at `t` → whether some run of `xs` with that view is longer.
+    seen.clear();
+    for a in xs.iter().filter(|a| a.rounds() >= t) {
+        *seen.entry(a.view(p, t)).or_default() |= a.rounds() > t;
+    }
+    let mut agree = None;
+    for b in ys.iter().filter(|b| b.rounds() >= t) {
+        if let Some(&longer) = seen.get(&b.view(p, t)) {
+            if longer && b.rounds() > t {
+                return Some(true);
+            }
+            agree = Some(false);
+        }
+    }
+    agree
+}
+
+/// View ids are dense table indices, so a single multiply spreads them
+/// over the buckets of [`ViewMap`].
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(u32::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, x: u32) {
+        self.0 = (self.0.rotate_left(5) ^ u64::from(x)).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+type ViewMap = HashMap<ViewId, bool, BuildHasherDefault<IdHasher>>;
 
 /// Reproduce the paper's **Figure 3** example: three processes, two runs
 /// with `d_max = d_{2} = 1`, `d_{1} = 1/2`, `d_min = d_{0} = 1/4`
@@ -328,5 +435,125 @@ mod tests {
         assert_eq!(d, Distance::Below(2));
         assert!(diameter_min::<&PrefixRun>(&[]).is_none());
         assert!(set_distance_min(&[], &[&a]).is_none());
+    }
+
+    /// The pairwise definition of [`set_distance_min`]: the oracle its
+    /// linear-time method must match on every input.
+    fn set_distance_pairwise<R: RunViews>(xs: &[R], ys: &[R]) -> Option<Distance> {
+        xs.iter().flat_map(|a| ys.iter().map(move |b| d_min(a, b))).min()
+    }
+
+    fn assert_matches_oracle(xs: &[&PrefixRun], ys: &[&PrefixRun], at: &str) {
+        assert_eq!(set_distance_min(xs, ys), set_distance_pairwise(xs, ys), "{at}");
+        assert_eq!(set_distance_min(ys, xs), set_distance_pairwise(xs, ys), "{at} (swapped)");
+    }
+
+    /// Every run of the oblivious adversary over `pool` at `depth`, over
+    /// binary inputs, on one table: the prefix space of a catalog entry.
+    fn oblivious_space(pool: &[dyngraph::Digraph], n: usize, depth: usize) -> Vec<PrefixRun> {
+        let mut table = ViewTable::new(n);
+        let mut runs: Vec<PrefixRun> = crate::all_inputs(n, &[0, 1])
+            .into_iter()
+            .map(|x| PrefixRun::compute(x, &GraphSeq::new(), &mut table))
+            .collect();
+        for _ in 0..depth {
+            runs = runs
+                .iter()
+                .flat_map(|r| {
+                    pool.iter().map(|g| r.extended(g.clone(), &mut table)).collect::<Vec<_>>()
+                })
+                .collect();
+        }
+        runs
+    }
+
+    #[test]
+    fn set_distance_edge_cases_match_oracle() {
+        let (alpha, beta, _) = fig3_example();
+        let none: [&PrefixRun; 0] = [];
+        assert_eq!(set_distance_min(&none, &none), None);
+        assert_eq!(set_distance_min(&[&alpha], &none), None);
+        assert_matches_oracle(&[&alpha], &[&alpha], "singleton, A == B");
+        assert_eq!(set_distance_min(&[&alpha], &[&alpha]), Some(Distance::Below(3)));
+        assert_matches_oracle(&[&alpha], &[&beta], "singletons");
+        assert_eq!(set_distance_min(&[&alpha], &[&beta]), Some(Distance::Finite(2)));
+        assert_matches_oracle(&[&alpha, &beta], &[&alpha, &beta], "A == B");
+    }
+
+    #[test]
+    fn set_distance_matches_oracle_on_catalog_spaces() {
+        use dyngraph::generators::{
+            all_out_stars, complete_minus_losses, lossy_link_full, lossy_link_reduced,
+        };
+        use rand::{Rng, SeedableRng};
+        // The oblivious catalog adversaries: lossy link (= message-loss-2-1
+        // = all-rooted-2), its reduced form, message-loss-2-0 and -2-2, and
+        // rotating-star-3 (n = 3).
+        let pools = [
+            ("sw-lossy-link", lossy_link_full(), 2),
+            ("cgp-reduced-lossy-link", lossy_link_reduced(), 2),
+            ("message-loss-2-0", complete_minus_losses(2, 0), 2),
+            ("message-loss-2-2", complete_minus_losses(2, 2), 2),
+            ("rotating-star-3", all_out_stars(3), 3),
+        ];
+        let mut rng = rand::rngs::StdRng::seed_from_u64(15);
+        for (name, pool, n) in &pools {
+            for depth in 0..=5 {
+                let space = oblivious_space(pool, *n, depth);
+                let all: Vec<&PrefixRun> = space.iter().collect();
+                if all.len() <= 256 {
+                    assert_matches_oracle(&all, &all, &format!("{name}@{depth}: whole space"));
+                }
+                for trial in 0..24 {
+                    // Random picks rarely agree for long; contiguous windows
+                    // share input and sequence prefixes, so mix both.
+                    let mut pick = |window: bool| -> Vec<&PrefixRun> {
+                        let len = rng.random_range(1..=all.len().min(40));
+                        if window {
+                            let start = rng.random_range(0..=all.len() - len);
+                            all[start..start + len].to_vec()
+                        } else {
+                            (0..len).map(|_| all[rng.random_range(0..all.len())]).collect()
+                        }
+                    };
+                    let xs = pick(trial % 2 == 0);
+                    let ys = pick(trial % 3 == 0);
+                    let at = format!("{name}@{depth} trial {trial}");
+                    assert_matches_oracle(&xs, &ys, &at);
+                    assert_matches_oracle(&xs, &xs, &format!("{at}: A == B"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn set_distance_matches_oracle_across_horizons() {
+        use rand::{Rng, SeedableRng};
+        // Standalone runs of 1–4 rounds on one table, so pairs compare over
+        // different common horizons.
+        let pool = dyngraph::generators::complete_minus_losses(2, 2);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(4);
+        let mut table = ViewTable::new(2);
+        let runs: Vec<PrefixRun> = (0..200)
+            .map(|_| {
+                let len = rng.random_range(1..=4);
+                let seq = GraphSeq::from_graphs(
+                    (0..len).map(|_| pool[rng.random_range(0..pool.len())].clone()).collect(),
+                );
+                let inputs = (0..2).map(|_| rng.random_range(0..2)).collect();
+                PrefixRun::compute(inputs, &seq, &mut table)
+            })
+            .collect();
+        for trial in 0..300 {
+            let mut pick = || -> Vec<&PrefixRun> {
+                let len = rng.random_range(1..=8);
+                (0..len).map(|_| &runs[rng.random_range(0..runs.len())]).collect()
+            };
+            let (xs, ys) = (pick(), pick());
+            assert_matches_oracle(&xs, &ys, &format!("trial {trial}"));
+        }
+        let all: Vec<&PrefixRun> = runs.iter().collect();
+        assert_matches_oracle(&all[..100], &all[100..], "halves");
+        assert_matches_oracle(&all, &all, "A == B");
     }
 }

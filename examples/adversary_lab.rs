@@ -4,7 +4,7 @@
 //! transcript of the synthesized algorithm.
 //!
 //! ```text
-//! cargo run -p examples --bin adversary_lab
+//! cargo run -p examples-support --example adversary_lab
 //! ```
 
 use adversary::{

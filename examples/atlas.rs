@@ -4,7 +4,7 @@
 //! landscape the paper's §1/§6 examples are drawn from.
 //!
 //! ```text
-//! cargo run -p examples --bin atlas
+//! cargo run -p examples-support --example atlas
 //! ```
 
 use adversary::GeneralMA;

@@ -3,7 +3,7 @@
 //! non-compact adversary.
 //!
 //! ```text
-//! cargo run -p examples --bin component_explorer
+//! cargo run -p examples-support --example component_explorer
 //! ```
 
 use adversary::GeneralMA;

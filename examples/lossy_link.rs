@@ -10,7 +10,7 @@
 //!   concrete would-be algorithm (§6.1).
 //!
 //! ```text
-//! cargo run -p examples --bin lossy_link
+//! cargo run -p examples-support --example lossy_link
 //! ```
 
 use adversary::{GeneralMA, MessageAdversary};

@@ -2,7 +2,7 @@
 //! universal algorithm, and run it.
 //!
 //! ```text
-//! cargo run -p examples --bin quickstart
+//! cargo run -p examples-support --example quickstart
 //! ```
 
 use adversary::{GeneralMA, MessageAdversary};

@@ -13,7 +13,7 @@
 //!   forces the window early enough).
 //!
 //! ```text
-//! cargo run -p examples --bin stabilizing
+//! cargo run -p examples-support --example stabilizing
 //! ```
 
 use adversary::{limit, GeneralMA, MessageAdversary};
